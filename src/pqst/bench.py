@@ -5,21 +5,22 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, spawn_rng
+from .qcore import DensityMatrix, born_table, spawn_rng
 from .operators import Observable, PAULI_1Q, activity_support, \
     expectation, is_x_structured, parse_observable
 from .ensembles import UnitaryEnsemble, clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_union, zeta_x
-from .shadow import CoverageError, _cell_snapshots, combine_pses, ensemble_pse, \
+from .channels import apply_inverse
+from .shadow import CoverageError, combine_pses, ensemble_pse, \
     reconstruction_report, sampled_pse
 
 DEFAULT_SHOT_GRID = (100, 1000, 10_000, 100_000)
 DEFAULT_TRIALS = 1000
+TRIAL_BLOCK = 256  # MSE trials drawn per random stream
 METHODS = ("pqst-auto", "pauli", "clifford", "mub")
 
 CSV_COLUMNS = ("method", "n_qubits", "state", "observable", "shots", "trials",
@@ -178,7 +179,8 @@ def load_fixture(name: str) -> Fixture:
 # ---------------------------------------------------------------------------
 # Measurement models: each (ensemble, owned observable part) is reduced to
 # per-(member, outcome) cell probabilities and cell values Tr(O_part s_cell),
-# so a trial at budget M is a single multinomial draw.
+# so a trial at budget M is a single multinomial draw. Cells with equal values
+# are one outcome of the estimator and are merged before drawing.
 
 @dataclass
 class MeasurementModel:
@@ -243,62 +245,78 @@ def _owned_terms(ensembles, obs: Observable):
     return parts
 
 
+def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray) -> MeasurementModel:
+    """Merge cells whose values agree to 1e-9; each group keeps its summed
+    probability and its probability-weighted mean value, so sum p v is exact."""
+    _, group = np.unique(np.round(values, 9), return_inverse=True)
+    p = np.bincount(group, weights=probs)
+    pv = np.bincount(group, weights=probs * values)
+    keep = p > 0
+    return MeasurementModel(name, p[keep], pv[keep] / p[keep])
+
+
 def measurement_models(state: DensityMatrix, obs: Observable, method: str):
-    """Build the per-cell sampling models for one method. Ensembles that own no
-    observable term are dropped (they would only add noise)."""
+    """Build the merged cell models for one method; ensembles that own no term
+    are dropped. The inverse maps are self-adjoint, so cell (U, k) has value
+    Tr(O_part M^-1(U^dag|k><k|U)) = <k|U M^-1(O_part) U^dag|k>, a Born table."""
     ensembles = _method_ensembles(method, obs)
     parts = _owned_terms(ensembles, obs)
     models = []
     for ens, terms in zip(ensembles, parts):
         if not terms:
             continue
-        part_matrix = sum(t.matrix() for t in terms)
-        probs, snaps = _cell_snapshots(ens, state)
-        values = np.einsum("ij,cji->c", part_matrix.astype(complex), snaps).real
-        probs = np.clip(probs, 0.0, None)
-        models.append(MeasurementModel(ens.name, probs / probs.sum(), values))
+        members = np.stack(ens.members)
+        probs = np.clip(born_table(members, state.mat).real, 0.0, None)
+        probs = (probs / probs.sum(axis=1, keepdims=True) / ens.size).ravel()
+        part = apply_inverse(ens, sum(t.matrix() for t in terms))
+        values = born_table(members, part).real.ravel()
+        models.append(_merge_cells(ens.name, probs / probs.sum(), values))
     if not models:
         raise CoverageError("no measurement model owns any observable term")
     return models
 
 
+def draw_estimates(models, shots: int, rng: np.random.Generator, size: int):
+    """`size` independent estimates of <O> at `shots` shots per model, with the
+    standard error each estimate reports from its own cell counts."""
+    est = np.zeros(size)
+    var = np.zeros(size)
+    for model in models:
+        counts = rng.multinomial(shots, model.probs, size=size)
+        part = counts @ model.values / shots
+        second = counts @ model.values**2 / shots
+        est += part
+        var += np.clip(second - part**2, 0.0, None) / shots
+    return est, np.sqrt(var)
+
+
 def mse_experiment(state: DensityMatrix, observable: Observable, method: str,
                    shots_grid=DEFAULT_SHOT_GRID, trials: int = DEFAULT_TRIALS,
-                   seed: int = 0, workers: int = 1) -> list[MseResult]:
+                   seed: int = 0) -> list[MseResult]:
     """MSE of the shadow estimate of <O> vs the exact trace, per shot budget.
 
     The budget M is per measurement set: each PSE's set receives M shots, as
-    each unitary set is measured as its own experiment. Each trial draws a
-    multinomial over measurement cells per model; the trial stream is keyed by
-    (seed, budget index, trial index), so results are bitwise identical for
-    any worker count.
+    each unitary set is measured as its own experiment. Trials run in fixed
+    blocks of TRIAL_BLOCK; block b at budget index i draws from the stream keyed
+    (seed, i, b), one multinomial of the whole block per model.
     """
+    if trials < 1:
+        raise BenchError("trials must be >= 1")
     models = measurement_models(state, observable, method)
     true_value = expectation(observable, state.mat)
     results = []
     for b_idx, shots in enumerate(shots_grid):
-        share = int(shots)
-        if share < 1:
+        shots = int(shots)
+        if shots < 1:
             raise BenchError("every shot budget must be >= 1")
-
-        def trial_error(t, b_idx=b_idx, share=share):
-            rng = spawn_rng(seed, b_idx, t)
-            est = 0.0
-            for model in models:
-                counts = rng.multinomial(share, model.probs)
-                est += float(counts @ model.values) / share
-            return (est - true_value) ** 2
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errors = np.fromiter(pool.map(trial_error, range(trials)),
-                                     dtype=float, count=trials)
-        else:
-            errors = np.fromiter((trial_error(t) for t in range(trials)),
-                                 dtype=float, count=trials)
+        estimates = np.concatenate([
+            draw_estimates(models, shots, spawn_rng(seed, b_idx, block),
+                           min(TRIAL_BLOCK, trials - start))[0]
+            for block, start in enumerate(range(0, trials, TRIAL_BLOCK))])
+        errors = (estimates - true_value) ** 2
         mse = float(errors.mean())
         stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        results.append(MseResult(method=method, shots=int(shots), trials=trials,
+        results.append(MseResult(method=method, shots=shots, trials=trials,
                                  mse=mse, stderr=stderr, true_value=true_value))
     return results
 
@@ -320,28 +338,28 @@ def fit_scaling(results) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def mse_rows(state_name: str, obs_name: str, n_qubits: int, results,
+             seed: int) -> list[dict]:
+    """One CSV row dict per budget of one method's results, with its fitted slope."""
+    try:
+        slope_tag = f"slope={fit_scaling(results)[0]!r}"
+    except BenchError:
+        slope_tag = "slope=nan"
+    return [{"method": r.method, "n_qubits": n_qubits, "state": state_name,
+             "observable": obs_name, "shots": r.shots, "trials": r.trials,
+             "mse": repr(r.mse), "stderr": repr(r.stderr),
+             "true_value": repr(r.true_value), "slope_tag": slope_tag, "seed": seed}
+            for r in results]
+
+
 def bench_rows(state_name: str, state: DensityMatrix, obs_name: str,
                observable: Observable, methods, shots_grid=DEFAULT_SHOT_GRID,
-               trials: int = DEFAULT_TRIALS, seed: int = 0, workers: int = 1):
+               trials: int = DEFAULT_TRIALS, seed: int = 0):
     """One CSV row dict per (method, shots), with the per-method fitted slope."""
     rows = []
     for method in methods:
-        results = mse_experiment(state, observable, method, shots_grid,
-                                 trials, seed, workers)
-        try:
-            slope, _, _ = fit_scaling(results)
-            slope_tag = f"slope={slope!r}"
-        except BenchError:
-            slope_tag = "slope=nan"
-        for r in results:
-            rows.append({
-                "method": r.method, "n_qubits": observable.n,
-                "state": state_name, "observable": obs_name,
-                "shots": r.shots, "trials": r.trials,
-                "mse": repr(r.mse), "stderr": repr(r.stderr),
-                "true_value": repr(r.true_value),
-                "slope_tag": slope_tag, "seed": seed,
-            })
+        results = mse_experiment(state, observable, method, shots_grid, trials, seed)
+        rows += mse_rows(state_name, obs_name, observable.n, results, seed)
     return rows
 
 
@@ -380,11 +398,7 @@ def nmr_pipeline_sim(state: DensityMatrix, shots: int | None = None,
                                    seed=seed, reference=state)
     populations = {}
     for ens in (zx, z1):
-        rows = []
-        for u in ens.members:
-            diag = np.clip(np.einsum("ki,ij,jk->k", u, state.mat, u.conj().T).real,
-                           0.0, None)
-            rows.append([float(p) for p in diag / diag.sum()])
-        populations[ens.name] = rows
+        diag = np.clip(born_table(np.stack(ens.members), state.mat).real, 0.0, None)
+        populations[ens.name] = (diag / diag.sum(axis=1, keepdims=True)).tolist()
     report["populations"] = populations
     return report

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .qcore import DensityMatrix, dag
-from .ensembles import UnitaryEnsemble, EnsembleError, _LOCAL
+from .ensembles import UnitaryEnsemble, _LOCAL
 
 
 class ChannelError(ValueError):
@@ -71,22 +71,33 @@ def _local_snapshot(word, k_bits):
     return per_site_pauli_inverse(factors)
 
 
+def _per_site_inverse_map(n: int, a: np.ndarray) -> np.ndarray:
+    """D_{1/3}^{-1}(A) = 3A - Tr(A) 1 applied on every site of an n-qubit operator."""
+    t = a.reshape((2,) * (2 * n))
+    for j in range(n):
+        site_eye = np.eye(2).reshape([2 if q in (j, n + j) else 1 for q in range(2 * n)])
+        traced = np.expand_dims(np.trace(t, axis1=j, axis2=n + j), (j, n + j))
+        t = 3 * t - traced * site_eye
+    return t.reshape(a.shape)
+
+
+def apply_inverse(ensemble: UnitaryEnsemble, a) -> np.ndarray:
+    """The ensemble's inverse map M^{-1}(A), linear in A. Every kind is
+    self-adjoint, so Tr(O M^{-1}(S)) = Tr(M^{-1}(O) S) for any O and S."""
+    a = np.asarray(a, dtype=complex)
+    if ensemble.inverse_kind == "per-site-pauli":
+        return _per_site_inverse_map(ensemble.n, a)
+    if ensemble.inverse_kind == "global-depolarizing":
+        return depolarizing_inverse(ensemble.n, a)
+    if ensemble.inverse_kind == "pseudo":
+        return ensemble.p * a - complex(np.trace(a)) * np.eye(a.shape[0])
+    raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
+
+
 def per_site_inverse_channel_exact(ensemble: UnitaryEnsemble, rho) -> np.ndarray:
     """Exact average of the per-site depolarizing inverse over an explicit local
     ensemble with Born weights. Recovers rho for the full Pauli set; applied to
     zeta_X it demonstrably fails to reproduce the trusted elements."""
     if ensemble.local_factors is None:
         raise ChannelError(f"ensemble {ensemble.name} has no per-site structure")
-    mat = _as_matrix(rho)
-    n = ensemble.n
-    d = 2**n
-    out = np.zeros((d, d), dtype=complex)
-    for u, word in zip(ensemble.members, ensemble.local_factors):
-        rot = u @ mat @ dag(u)
-        for k in range(d):
-            pk = rot[k, k].real
-            if pk == 0.0:
-                continue
-            k_bits = [(k >> (n - 1 - j)) & 1 for j in range(n)]
-            out += pk * _local_snapshot(word, k_bits)
-    return out / ensemble.size
+    return _per_site_inverse_map(ensemble.n, forward_channel_exact(ensemble, rho))

@@ -21,10 +21,10 @@ from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
     parse_ensemble_spec
 from .channels import ChannelError
 from .shadow import CoverageError, combine_pses, ensemble_pse, \
-    reconstruction_report, sampled_pse
+    estimate_observable, reconstruction_report, sampled_pse
 from . import bench as bench_mod
 from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, \
-    bench_rows, load_fixture, measurement_models, write_csv
+    bench_rows, draw_estimates, load_fixture, measurement_models, write_csv
 from .golden import run_validation
 
 _USAGE_ERRORS = (EnsembleError, ObservableError, BenchError, CoverageError)
@@ -187,12 +187,9 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
         models_method = method
         method_label = method
 
-    models = measurement_models(rho, obs, models_method)
     if exact:
         ensembles = bench_mod._method_ensembles(models_method, obs)
-        pses = [ensemble_pse(rho, ens) for ens in ensembles]
-        from .shadow import estimate_observable
-        value = estimate_observable(obs, pses)
+        value = estimate_observable(obs, [ensemble_pse(rho, ens) for ens in ensembles])
         click.echo(f"method: {method_label} (exact)")
         click.echo(f"estimate: {value!r}")
     else:
@@ -200,19 +197,12 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
             _fail("sampled mode needs --shots (or use --exact)", 2)
         run_seed = _require_seed(opts["seed"])
         share = int(opts["shots"])
-        rng = spawn_rng(run_seed, 0)
-        value = 0.0
-        variance = 0.0
-        for model in models:
-            counts = rng.multinomial(share, model.probs)
-            part = float(counts @ model.values) / share
-            second = float(counts @ (model.values**2)) / share
-            value += part
-            variance += max(0.0, second - part**2) / share
+        models = measurement_models(rho, obs, models_method)
+        value, stderr = draw_estimates(models, share, spawn_rng(run_seed, 0), 1)
         click.echo(f"method: {method_label} (sampled, {share} shots per set, "
                    f"{len(models)} sets)")
-        click.echo(f"estimate: {value!r}")
-        click.echo(f"stderr: {variance**0.5!r}")
+        click.echo(f"estimate: {float(value[0])!r}")
+        click.echo(f"stderr: {float(stderr[0])!r}")
 
 
 @main.command()
@@ -224,15 +214,12 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
               help="Comma-separated shot budgets (default 100,1000,10000,100000).")
 @click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=1,
-              help="Worker threads; never changes the results.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="CSV output path (required).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
 @_guarded
-def bench(state, obs_spec, methods, shots_grid, trials, seed, workers, output,
-          config_path):
+def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_path):
     """Run the MSE-scaling benchmark and write one CSV row per (method, shots)."""
     cfg = _load_config(config_path)
     opts = _merge(cfg, state=state, obs=obs_spec, shots_grid=shots_grid,
@@ -247,7 +234,7 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, workers, output,
     n_trials = DEFAULT_TRIALS if opts["trials"] is None else int(opts["trials"])
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     rows = bench_rows(state_name, rho, obs_name, obs, method_list, grid,
-                      n_trials, run_seed, workers)
+                      n_trials, run_seed)
     write_csv(opts["output"], rows)
     click.echo(f"{len(rows)} rows written to {opts['output']}")
 

@@ -72,13 +72,6 @@ def _mat_key(m: np.ndarray) -> tuple:
     return tuple(np.round(c.ravel(), 6).view(float))
 
 
-def _dedup(mats) -> tuple:
-    seen = {}
-    for m in mats:
-        seen.setdefault(_mat_key(m), m)
-    return tuple(seen.values())
-
-
 def check_members(name, members):
     """Raise if any member fails the unitarity residual test."""
     for m in members:
@@ -485,6 +478,7 @@ def mub_partition(n: int) -> tuple:
     return tuple(solution)
 
 
+@lru_cache(maxsize=None)
 def mub_ensemble(n: int) -> UnitaryEnsemble:
     """2^n+1 mutually unbiased basis-change unitaries; depolarizing inverse."""
     if n > 3:

@@ -67,10 +67,6 @@ def golden_rho_1b(rho: np.ndarray) -> np.ndarray:
     ])
 
 
-def _sums(rho, index_quads):
-    return sum(sign * rho[i, j] for sign, i, j in index_quads)
-
-
 def golden_b_h(rho: np.ndarray) -> np.ndarray:
     """The B_H matrix: {1,H x H} channel building block, rho_hat = -1 + (p/4) B_H."""
     r = rho

@@ -96,10 +96,6 @@ def format_observable(obs: Observable) -> str:
     return "; ".join(f"{t.coeff:g} {t.word}" for t in obs.terms)
 
 
-def pauli_matrix(ps: PauliString) -> np.ndarray:
-    return ps.matrix()
-
-
 def activity_of_element(i_bits, j_bits) -> frozenset[int]:
     """Set of qubits where the two index bitstrings differ (A of an A-active element)."""
     if len(i_bits) != len(j_bits):

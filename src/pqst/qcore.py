@@ -190,6 +190,12 @@ def conjugate_by_unitary(rho: DensityMatrix, u: np.ndarray, tol: float = 1e-10) 
     return DensityMatrix((out + dag(out)) / 2, herm_tol=1e-9, trace_tol=1e-9, eig_floor=-1e-8)
 
 
+def born_table(members, x) -> np.ndarray:
+    """<k|U x U^dag|k> for each stacked member U (rows) and outcome k (columns)."""
+    u = np.asarray(members)
+    return np.einsum("cki,ij,ckj->ck", u, x, u.conj())
+
+
 def born_probabilities(rho: DensityMatrix) -> np.ndarray:
     """Computational-basis outcome distribution <k|rho|k>, clamped and renormalized."""
     probs = np.diag(rho.mat).real.copy()
@@ -286,8 +292,8 @@ def entanglement_measure(rho: DensityMatrix, partition: tuple[int, ...] = (1,)) 
 
 
 # ---------------------------------------------------------------------------
-# Random streams. Workers own derived streams keyed by trial indices so that
-# results are independent of how trials are distributed.
+# Random streams. Each stochastic unit (a reconstruction set, a block of MSE
+# trials) owns a stream derived from the seed by its integer key.
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))

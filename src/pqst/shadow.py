@@ -11,8 +11,8 @@ from .qcore import DensityMatrix, dag, index_to_bits
 from .operators import Observable, activity_of_indices, activity_support, \
     expectation, rotate_to_x_structure
 from .ensembles import UnitaryEnsemble
-from .channels import ChannelError, depolarizing_inverse, forward_channel_exact, \
-    per_site_inverse_channel_exact, pseudo_inverse, _local_snapshot
+from .channels import ChannelError, apply_inverse, depolarizing_inverse, \
+    forward_channel_exact, pseudo_inverse, _local_snapshot
 
 
 class CoverageError(ValueError):
@@ -130,16 +130,7 @@ def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
 
 def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadowEstimator:
     """Exact PSE from Born probabilities (diagonal-tomography mode, no sampling)."""
-    if not ensemble.is_explicit:
-        raise ChannelError(f"ensemble {ensemble.name} has no explicit members")
-    if ensemble.inverse_kind == "pseudo":
-        est = pseudo_inverse(ensemble.p, forward_channel_exact(ensemble, rho))
-    elif ensemble.inverse_kind == "global-depolarizing":
-        est = depolarizing_inverse(ensemble.n, forward_channel_exact(ensemble, rho))
-    elif ensemble.inverse_kind == "per-site-pauli":
-        est = per_site_inverse_channel_exact(ensemble, rho)
-    else:
-        raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
+    est = apply_inverse(ensemble, forward_channel_exact(ensemble, rho))
     return PartialShadowEstimator(
         estimate=est, ensemble_name=ensemble.name, p=ensemble.p, shots=0,
         trusted=ensemble.trusted_patterns, n=ensemble.n)

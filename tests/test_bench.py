@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, MseResult,
-                        bench_rows, fit_scaling, load_fixture,
-                        measurement_models, mse_experiment, nmr_pipeline_sim,
-                        pqst_auto_ensembles, write_csv)
+from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, METHODS,
+                        MseResult, _method_ensembles, _owned_terms, bench_rows,
+                        fit_scaling, load_fixture, measurement_models,
+                        mse_experiment, nmr_pipeline_sim, pqst_auto_ensembles,
+                        write_csv)
+from pqst.channels import apply_inverse
+from pqst.ensembles import clifford_ensemble, mub_ensemble, \
+    pauli_local_ensemble, zeta_m_active
 from pqst.operators import expectation, parse_observable
-from pqst.qcore import born_probabilities
-from pqst.shadow import CoverageError
+from pqst.qcore import born_probabilities, born_table
+from pqst.shadow import CoverageError, _cell_snapshots
+from conftest import random_density, random_hermitian
+
+PANELS = [("rho2", "O2X"), ("rho2", "O2NX"), ("rho2X", "O2"),
+          ("rho3", "O3X"), ("rho3", "O3NX"), ("rho3X", "O3")]
 
 
 def test_all_fixture_names_load():
@@ -90,14 +98,71 @@ def test_mse_single_shot_self_consistency():
     assert abs(r.mse - exact_var) < 5 * r.stderr
 
 
-def test_mse_determinism_across_workers():
+def _snapshot_values(ens, state, o):
+    return np.einsum("ij,cji->c", o, _cell_snapshots(ens, state)[1]).real
+
+
+def _born_table_values(ens, o):
+    return born_table(np.stack(ens.members), apply_inverse(ens, o)).real.ravel()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_born_table_values_match_snapshots(n):
+    # every inverse kind: pseudo (zeta sets), per-site (pauli), depolarizing
+    rng = np.random.default_rng(40 + n)
+    state = random_density(n, rng)
+    o = random_hermitian(2**n, rng)
+    sets = [zeta_m_active(n, m) for m in range(1, n + 1)]
+    sets += [pauli_local_ensemble(n), clifford_ensemble(n), mub_ensemble(n)]
+    for ens in sets:
+        resid = np.abs(_born_table_values(ens, o) - _snapshot_values(ens, state, o))
+        assert resid.max() < 1e-12, ens.name
+
+
+def test_born_table_values_match_snapshots_n4():
+    rng = np.random.default_rng(44)
+    state = random_density(4, rng)
+    o = random_hermitian(16, rng)
+    obs = parse_observable("2 XXYY; -1 ZIXI; 3 IZZI; 0.5 YIIX; 1 IIIZ")
+    for ens in pqst_auto_ensembles(obs) + [pauli_local_ensemble(4)]:
+        resid = np.abs(_born_table_values(ens, o) - _snapshot_values(ens, state, o))
+        assert resid.max() < 1e-12, ens.name
+
+
+@pytest.mark.parametrize("state_name,obs_name", PANELS)
+def test_merged_models_keep_mean_and_variance(state_name, obs_name):
+    state = load_fixture(state_name).state
+    obs = load_fixture(obs_name).observable
+    for method in METHODS:
+        ensembles = _method_ensembles(method, obs)
+        owned = [(ens, terms) for ens, terms in
+                 zip(ensembles, _owned_terms(ensembles, obs)) if terms]
+        models = measurement_models(state, obs, method)
+        assert [m.ensemble_name for m in models] == [ens.name for ens, _ in owned]
+        for model, (ens, terms) in zip(models, owned):
+            probs = _cell_snapshots(ens, state)[0]
+            values = _snapshot_values(ens, state, sum(t.matrix() for t in terms))
+            mean, merged_mean = probs @ values, model.probs @ model.values
+            var = probs @ values**2 - mean**2
+            merged_var = model.probs @ model.values**2 - merged_mean**2
+            assert abs(merged_mean - mean) < 1e-12
+            assert abs(merged_var - var) <= 1e-9 * var
+            assert np.unique(model.values.round(9)).size == model.values.size
+
+
+def test_mse_determinism_across_runs_and_method_order():
     state = load_fixture("rho2X").state
     obs = load_fixture("O2").observable
-    a = mse_experiment(state, obs, "pqst-auto", shots_grid=(100, 1000),
-                       trials=64, seed=21, workers=1)
-    b = mse_experiment(state, obs, "pqst-auto", shots_grid=(100, 1000),
-                       trials=64, seed=21, workers=4)
-    assert [(r.mse, r.stderr) for r in a] == [(r.mse, r.stderr) for r in b]
+
+    def run(methods):  # 300 trials span two trial blocks
+        return {m: [(r.mse, r.stderr) for r in
+                    mse_experiment(state, obs, m, shots_grid=(100, 1000),
+                                   trials=300, seed=21)]
+                for m in methods}
+
+    first = run(METHODS)
+    assert run(METHODS) == first
+    assert run(METHODS[::-1]) == first
 
 
 def test_fit_scaling_synthetic():

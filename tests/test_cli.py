@@ -128,7 +128,7 @@ def test_bench_grid_and_determinism(tmp_path):
     args = ("bench", "--state", "rho2", "--obs", "O2X",
             "--methods", "pqst-auto,pauli", "--trials", "30", "--seed", "7")
     assert run(*args, "--output", str(a)).exit_code == 0
-    assert run(*args, "--workers", "3", "--output", str(b)).exit_code == 0
+    assert run(*args, "--output", str(b)).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
     assert len(lines) == 1 + 2 * 4  # header + methods x default budgets
