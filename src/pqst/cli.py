@@ -83,6 +83,9 @@ def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
     if source is None:
         _fail("a --state (fixture name or density-matrix JSON file) is required", 2)
     if Path(source).exists():
+        if source in bench_mod.FIXTURE_NAMES:
+            _fail(f"--state {source!r} names both the file {Path(source).resolve()} and "
+                  f"the fixture {source!r}; pass the file as ./{source} or rename it", 2)
         return Path(source).stem, load_density_matrix(source, relaxed=True)
     fixture = load_fixture(source)
     if fixture.state is None:

@@ -1,12 +1,16 @@
 """Measurement ensembles: PQST subsets, local Pauli, global Clifford, MUBs.
 
-PQST sets are explicit lists of {1,H,HS} tensor words. The Clifford machinery
-has two layers: exact group enumeration by closure for n <= 2, and uniform
-sampling via Koenig-Smolin symplectic indexing for n = 3. For channel and
-benchmark work the Clifford ensemble is represented by the stabilizer
-measurement bases (15 at n=2, 135 at n=3): uniform Clifford sampling pushes
-forward to the uniform distribution over those bases, and a shadow snapshot
-depends on U only through the basis {U^dag|k>}.
+PQST sets are explicit lists of {1,H,HS} tensor words. The global Clifford
+group is enumerated exactly by closure for n <= 2. For channel and benchmark
+work the Clifford ensemble is represented by the stabilizer measurement bases
+(15 at n=2, 135 at n=3): uniform Clifford sampling pushes forward to the
+uniform distribution over those bases, and a shadow snapshot depends on U only
+through the basis {U^dag|k>}. Each basis belongs to a maximal commuting class
+of Pauli words, i.e. a maximal isotropic subspace of F_2^{2n}, enumerated on
+integer bitmasks. Its vectors come from the rank-1 joint-eigenspace projectors
+prod_j (1 +- P_j)/2 of n independent generators P_j of the class, so no
+eigensolver is involved. The MUBs are the bases of 2^n+1 classes that
+partition the nontrivial Pauli words.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .qcore import HADAMARD, HS, ID2, dag, is_unitary, jacobi_eigh, kron_all
+from .qcore import HADAMARD, HS, ID2, is_unitary, kron_all
 from .operators import PAULI_1Q
 
 
@@ -32,22 +36,15 @@ class UnitaryEnsemble:
 
     name: str
     n: int
-    members: tuple | None
+    members: tuple
     p: float | None
     inverse_kind: str  # 'pseudo' | 'global-depolarizing' | 'per-site-pauli'
     activity_signature: frozenset
     diagonal_trusted: bool
-    sampler: object = None
     local_factors: tuple | None = None  # per-member single-qubit factors, if local
 
     @property
-    def is_explicit(self) -> bool:
-        return self.members is not None
-
-    @property
     def size(self) -> int:
-        if not self.is_explicit:
-            raise EnsembleError(f"ensemble {self.name} has no explicit member list")
         return len(self.members)
 
     @property
@@ -57,19 +54,21 @@ class UnitaryEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Phase canonicalization: scale so the first nonzero entry (row-major) is
-# real positive. Shadows are phase-invariant, so dedup works on these forms.
+# Phase canonicalization: scale each matrix of a stack so its first entry
+# (row-major) above tol is real positive. Shadows are phase-invariant, so
+# dedup works on these forms.
 
-def canonical_phase(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    for z in m.ravel():
-        if abs(z) > tol:
-            return m * (abs(z) / z)
-    return m
+def canonical_phase(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    flat = stack.reshape(len(stack), -1)
+    z = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > tol, axis=1)]
+    return stack * (np.abs(z) / z)[:, None, None]
 
 
-def _mat_key(m: np.ndarray) -> tuple:
-    c = canonical_phase(np.asarray(m, dtype=complex))
-    return tuple(np.round(c.ravel(), 6).view(float))
+def _mat_keys(stack: np.ndarray) -> list:
+    """Bytes keys of phase-canonical matrices rounded to 6 decimals; adding
+    0.0 folds -0.0 into 0.0, which would otherwise give a second key."""
+    rounded = np.round(stack.reshape(len(stack), -1), 6) + 0.0
+    return [row.tobytes() for row in rounded]
 
 
 def check_members(name, members):
@@ -190,12 +189,18 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
 # ---------------------------------------------------------------------------
 # Clifford group: exact enumeration by closure (n <= 2).
 
+_BATCH = 512  # frontier members multiplied at once in the closure
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 @lru_cache(maxsize=None)
 def enumerate_clifford_group(n: int) -> tuple:
-    """All elements of Cl(2^n) modulo global phase, by closure of generators."""
+    """All elements of Cl(2^n) modulo global phase, by closure of generators.
+
+    Each breadth-first layer multiplies batches of the frontier by every
+    generator at once, in (frontier member, generator) order, and keys the
+    phase-canonical products by the bytes of their rounded entries.
+    """
     if n == 1:
         gens = [HADAMARD, np.diag([1, 1j]).astype(complex)]
     elif n == 2:
@@ -206,21 +211,30 @@ def enumerate_clifford_group(n: int) -> tuple:
     else:
         raise EnsembleError("closure enumeration supported only for n <= 2")
     d = 2**n
+    gens = np.stack(gens)
     eye = np.eye(d, dtype=complex)
-    seen = {_mat_key(eye): eye}
-    frontier = [eye]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = g @ m
-                k = _mat_key(prod)
-                if k not in seen:
-                    c = canonical_phase(prod)
-                    seen[k] = c
-                    new.append(c)
-        frontier = new
+    frontier = eye[None]
+    seen = {_mat_keys(frontier)[0]: eye}
+    while len(frontier):
+        fresh = []
+        # batches bound the product stack; a whole layer reaches 15,245 products
+        for part in np.split(frontier, range(_BATCH, len(frontier), _BATCH)):
+            prods = canonical_phase((gens[None] @ part[:, None]).reshape(-1, d, d))
+            for key, m in zip(_mat_keys(prods), prods):
+                if key not in seen:
+                    # a copy, so that no kept member pins the batch's product stack
+                    seen[key] = m.copy()
+                    fresh.append(seen[key])
+        frontier = np.array(fresh).reshape(-1, d, d)
     return tuple(seen.values())
+
+
+def num_symplectics(n: int) -> int:
+    """|Sp(2n, 2)|."""
+    x = 1
+    for j in range(1, n + 1):
+        x *= 2 ** (2 * j - 1) * (2 ** (2 * j) - 1)
+    return x
 
 
 def clifford_group_order(n: int) -> int:
@@ -229,215 +243,88 @@ def clifford_group_order(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Koenig-Smolin symplectic sampling (uniform over Sp(2n, 2)) and tableau
-# synthesis. Vectors interleave (x, z) bits per qubit; qubit 1 maps to the
-# first bit pair.
+# Stabilizer measurement bases and MUBs via maximal isotropic subspaces. A
+# Pauli word is an interleaved bitmask: bit 2i is the x bit and bit 2i+1 the
+# z bit of qubit i+1. Classes leave this module as sorted tuples of bit tuples.
 
-def _symp_inner(v, w):
-    t = 0
-    for i in range(len(v) >> 1):
-        t += v[2 * i] * w[2 * i + 1] + w[2 * i] * v[2 * i + 1]
-    return t % 2
+_X_BITS = int("01" * 8, 2)  # the x bit of every qubit, for n <= 8
 
 
-def _transvect(k, v):
-    return (v + _symp_inner(k, v) * k) % 2
+def _anticommute(a: int, b: int) -> int:
+    """Symplectic product of two Pauli bitmasks: 1 iff the words anticommute."""
+    return (((a & (b >> 1)) ^ (b & (a >> 1))) & _X_BITS).bit_count() & 1
 
 
-def _int_to_bits(i, n):
-    return np.array([(i >> j) & 1 for j in range(n)], dtype=np.int8)
+def _bits(v: int, nn: int) -> tuple:
+    return tuple((v >> j) & 1 for j in range(nn))
 
 
-def _find_transvect(x, y):
-    out = np.zeros((2, len(x)), dtype=np.int8)
-    if np.array_equal(x, y):
-        return out
-    if _symp_inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    z = np.zeros(len(x), dtype=np.int8)
-    for i in range(len(x) >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) != 0:
-            z[ii] = (x[ii] + y[ii]) % 2
-            z[ii + 1] = (x[ii + 1] + y[ii + 1]) % 2
-            if z[ii] + z[ii + 1] == 0:
-                z[ii + 1] = 1
-                if x[ii] != x[ii + 1]:
-                    z[ii] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
-    for i in range(len(x) >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) == 0:
-            if x[ii] == x[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = x[ii]
-                z[ii] = x[ii + 1]
-            break
-    for i in range(len(x) >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) == 0 and (y[ii] + y[ii + 1]) != 0:
-            if y[ii] == y[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = y[ii]
-                z[ii] = y[ii + 1]
-            break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
+def _mask(bits) -> int:
+    return sum(b << j for j, b in enumerate(bits))
 
 
-def num_symplectics(n: int) -> int:
-    x = 1
-    for j in range(1, n + 1):
-        x *= 2 ** (2 * j - 1) * (2 ** (2 * j) - 1)
-    return x
+@lru_cache(maxsize=None)
+def _pauli_table(n: int) -> np.ndarray:
+    """The Hermitian Pauli i^{x.z} X^x Z^z of every bitmask, indexed by the mask."""
+    one = np.stack([PAULI_1Q["I"], PAULI_1Q["X"], PAULI_1Q["Z"], PAULI_1Q["Y"]])
+    table = np.ones((1, 1, 1), dtype=complex)
+    for k in range(1, n + 1):
+        # prepend a qubit: the new leftmost factor owns the two lowest mask bits
+        table = np.einsum("aij,bkl->baikjl", one, table).reshape(4**k, 2**k, 2**k)
+    return table
 
-
-def symplectic_matrix(i: int, n: int) -> np.ndarray:
-    """The i-th element of Sp(2n, 2) in Koenig-Smolin canonical indexing."""
-    nn = 2 * n
-    s = (1 << nn) - 1
-    k = (i % s) + 1
-    i //= s
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.int8)
-    e1[0] = 1
-    t = _find_transvect(e1, f1)
-    bits = _int_to_bits(i % (1 << (nn - 1)), nn - 1)
-    i >>= nn - 1
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvect(t[0], eprime)
-    h0 = _transvect(t[1], h0)
-    if bits[0] == 1:
-        f1 = f1 * 0
-    if n != 1:
-        g = np.zeros((nn, nn), dtype=np.int8)
-        g[:2, :2] = np.eye(2, dtype=np.int8)
-        g[2:, 2:] = symplectic_matrix(i, n - 1)
-    else:
-        g = np.eye(2, dtype=np.int8)
-    for j in range(nn):
-        g[j] = _transvect(t[0], g[j])
-        g[j] = _transvect(t[1], g[j])
-        g[j] = _transvect(h0, g[j])
-        g[j] = _transvect(f1, g[j])
-    return g
-
-
-def pauli_from_xz_vector(v, n: int) -> np.ndarray:
-    """Hermitian Pauli for an interleaved (x,z) bit vector: i^{xz} X^x Z^z per site."""
-    factors = []
-    for i in range(n):
-        x, z = int(v[2 * i]), int(v[2 * i + 1])
-        m = (1j) ** (x * z) * np.linalg.matrix_power(PAULI_1Q["X"], x) \
-            @ np.linalg.matrix_power(PAULI_1Q["Z"], z)
-        factors.append(m)
-    return kron_all(*factors)
-
-
-def clifford_from_tableau(g: np.ndarray, signs, n: int) -> np.ndarray:
-    """Unitary (up to global phase) with X_j -> +-P(g[2j]), Z_j -> +-P(g[2j+1]).
-
-    Built from the stabilizer state U|0..0> (projector onto the joint +1
-    eigenspace of the Z images) and the X images acting as column shifts.
-    """
-    d = 2**n
-    z_img = [(-1) ** int(signs[2 * j + 1]) * pauli_from_xz_vector(g[2 * j + 1], n)
-             for j in range(n)]
-    x_img = [(-1) ** int(signs[2 * j]) * pauli_from_xz_vector(g[2 * j], n)
-             for j in range(n)]
-    proj = np.eye(d, dtype=complex)
-    for s in z_img:
-        proj = proj @ (np.eye(d) + s) / 2
-    psi = None
-    for k in range(d):
-        v = proj[:, k]
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-6:
-            psi = v / nrm
-            break
-    u = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        col = psi
-        for j in range(n):
-            if (k >> (n - 1 - j)) & 1:
-                col = x_img[j] @ col
-        u[:, k] = col
-    return u
-
-
-def sample_global_clifford(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random element of Cl(2^n) modulo global phase, n <= 3."""
-    if n <= 2:
-        group = enumerate_clifford_group(n)
-        return group[int(rng.integers(0, len(group)))]
-    if n == 3:
-        i = int(rng.integers(0, num_symplectics(3)))
-        g = symplectic_matrix(i, 3)
-        signs = rng.integers(0, 2, size=6)
-        return clifford_from_tableau(g, signs, 3)
-    raise EnsembleError("global Clifford sampling supported only for n <= 3")
-
-
-# ---------------------------------------------------------------------------
-# Stabilizer measurement bases and MUBs via maximal isotropic subspaces.
 
 @lru_cache(maxsize=None)
 def maximal_isotropic_subspaces(n: int) -> tuple:
     """All maximal isotropic subspaces of F_2^{2n}, each as a sorted tuple of
     nonzero vectors (interleaved x,z bit tuples)."""
     nn = 2 * n
-    vecs = [_int_to_bits(m, nn) for m in range(1, 1 << nn)]
     found = set()
 
-    def span(gens):
-        out = set()
-        for mask in range(1, 1 << len(gens)):
-            v = np.zeros(nn, dtype=np.int8)
-            for i, g in enumerate(gens):
-                if (mask >> i) & 1:
-                    v = (v + g) % 2
-            out.add(tuple(int(b) for b in v))
-        return tuple(sorted(out))
-
-    def rec(gens, start, current_span):
+    def rec(gens, start, span):
         if len(gens) == n:
-            found.add(span(gens))
+            found.add(frozenset(span))
             return
-        for idx in range(start, len(vecs)):
-            v = vecs[idx]
-            if tuple(int(b) for b in v) in current_span:
-                continue
-            if all(_symp_inner(v, g) == 0 for g in gens):
-                rec(gens + [v], idx + 1, set(span(gens + [v])))
+        for v in range(start, 1 << nn):
+            if v not in span and not any(_anticommute(v, g) for g in gens):
+                rec(gens + [v], v + 1, span | {s ^ v for s in span})
 
-    rec([], 0, set())
-    return tuple(sorted(found))
+    rec([], 1, {0})
+    return tuple(sorted(tuple(sorted(_bits(v, nn) for v in cls if v)) for cls in found))
 
 
-def _class_eigenbasis(cls, n: int) -> np.ndarray:
-    """Common eigenbasis (columns) of a commuting Pauli class. Weights 3^i give
-    distinct balanced-ternary eigenvalue sums, so the combination is simple."""
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for i, v in enumerate(sorted(cls)):
-        total += (3.0**i) * pauli_from_xz_vector(v, n)
-    # eigenvalue gaps are >= 2, so driving the off-diagonal mass to the
-    # floating-point floor gives basis vectors accurate to ~1e-15
-    _, basis = jacobi_eigh(total, tol=1e-15)
-    return basis
+def _class_basis(cls, n: int) -> np.ndarray:
+    """Measurement unitary (rows = <basis vector|) of a maximal commuting class.
+
+    Each basis vector spans a rank-1 joint-eigenspace projector
+    prod_j (1 +- P_j)/2 of n independent generators P_j of the class. Rows are
+    in ascending eigenvalue of sum_i 3^i P_i over the class in sorted order;
+    the weights make those eigenvalues distinct.
+    """
+    paulis = _pauli_table(n)
+    masks = [_mask(v) for v in cls]
+    half = np.eye(2**n) / 2
+    proj = np.eye(2**n, dtype=complex)[None]
+    span = {0}
+    for v in masks:
+        if v not in span:
+            span |= {s ^ v for s in span}
+            proj = np.concatenate([proj @ (half + paulis[v] / 2), proj @ (half - paulis[v] / 2)])
+    # proj[t] = |psi><psi| has column c = psi conj(psi_c): take the column at
+    # the largest diagonal entry |psi_c|^2 and divide by |psi_c|
+    rows = np.arange(len(proj))
+    diag = proj.diagonal(axis1=1, axis2=2).real
+    c = diag.argmax(axis=1)
+    psi = proj[rows, :, c] / np.sqrt(diag[rows, c])[:, None]
+    weighted = np.tensordot(3.0 ** np.arange(len(masks)), paulis[masks], axes=1)
+    eig = np.einsum("ti,ij,tj->t", psi.conj(), weighted, psi).real
+    return psi[np.argsort(eig)].conj()
 
 
 @lru_cache(maxsize=None)
 def stabilizer_basis_unitaries(n: int) -> tuple:
     """Measurement unitaries U (rows = basis vectors) for every stabilizer basis."""
-    return tuple(dag(_class_eigenbasis(cls, n)) for cls in maximal_isotropic_subspaces(n))
+    return tuple(_class_basis(cls, n) for cls in maximal_isotropic_subspaces(n))
 
 
 def clifford_ensemble(n: int) -> UnitaryEnsemble:
@@ -449,7 +336,6 @@ def clifford_ensemble(n: int) -> UnitaryEnsemble:
         p=float(2**n + 1), inverse_kind="global-depolarizing",
         activity_signature=_all_patterns(n, include_empty=False),
         diagonal_trusted=True,
-        sampler=lambda rng, n=n: sample_global_clifford(n, rng),
     )
 
 
@@ -483,7 +369,7 @@ def mub_ensemble(n: int) -> UnitaryEnsemble:
     """2^n+1 mutually unbiased basis-change unitaries; depolarizing inverse."""
     if n > 3:
         raise EnsembleError("MUB ensemble supported only for n <= 3")
-    members = tuple(dag(_class_eigenbasis(cls, n)) for cls in mub_partition(n))
+    members = tuple(_class_basis(cls, n) for cls in mub_partition(n))
     return UnitaryEnsemble(
         name="mub", n=n, members=members, p=float(2**n + 1),
         inverse_kind="global-depolarizing",
@@ -543,7 +429,7 @@ def ensemble_info(ens: UnitaryEnsemble) -> str:
     lines = [
         f"name: {ens.name}",
         f"n_qubits: {ens.n}",
-        f"members: {ens.size if ens.is_explicit else 'implicit sampler'}",
+        f"members: {ens.size}",
         f"p: {ens.p if ens.p is not None else 'per-site (3 per qubit)'}",
         f"inverse: {ens.inverse_kind}",
         f"activity signature: {[''.join(map(str, s)) or 'none' for s in sig]}",

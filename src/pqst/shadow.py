@@ -21,11 +21,10 @@ class CoverageError(ValueError):
 
 @dataclass(frozen=True)
 class ShadowRecord:
-    """One measurement shot: ensemble member (index or explicit unitary) + outcome."""
+    """One measurement shot: ensemble member index + outcome."""
 
     outcome: tuple
-    member_index: int | None = None
-    unitary: np.ndarray | None = None
+    member_index: int
 
 
 @dataclass
@@ -48,17 +47,12 @@ class PartialShadowEstimator:
 def single_shot(rho: DensityMatrix, ensemble: UnitaryEnsemble,
                 rng: np.random.Generator) -> ShadowRecord:
     """Uniform member draw, then a Born-distributed outcome of the rotated state."""
-    if ensemble.is_explicit:
-        idx = int(rng.integers(0, ensemble.size))
-        u = ensemble.members[idx]
-    else:
-        idx = None
-        u = ensemble.sampler(rng)
+    idx = int(rng.integers(0, ensemble.size))
+    u = ensemble.members[idx]
     probs = np.clip(np.einsum("ki,ij,jk->k", u, rho.mat, dag(u)).real, 0.0, None)
     probs /= probs.sum()
     k = int(rng.choice(probs.size, p=probs))
-    return ShadowRecord(outcome=index_to_bits(k, ensemble.n),
-                        member_index=idx, unitary=None if idx is not None else u)
+    return ShadowRecord(outcome=index_to_bits(k, ensemble.n), member_index=idx)
 
 
 def snapshot(ensemble: UnitaryEnsemble, record: ShadowRecord) -> np.ndarray:
@@ -69,8 +63,7 @@ def snapshot(ensemble: UnitaryEnsemble, record: ShadowRecord) -> np.ndarray:
         k = (k << 1) | b
     if ensemble.inverse_kind == "per-site-pauli":
         return _local_snapshot(ensemble.local_factors[record.member_index], record.outcome)
-    u = record.unitary if record.unitary is not None else ensemble.members[record.member_index]
-    ket = dag(u)[:, k]
+    ket = dag(ensemble.members[record.member_index])[:, k]
     proj = np.outer(ket, ket.conj())
     if ensemble.inverse_kind == "pseudo":
         return pseudo_inverse(ensemble.p, proj)
@@ -100,29 +93,14 @@ def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
     """Empirical-mean shadow estimator over `shots` single shots (Born-sampled)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    d = rho.dim
-    if ensemble.is_explicit:
-        probs, snaps = _cell_snapshots(ensemble, rho)
-        counts = rng.multinomial(shots, probs / probs.sum())
-        est = np.tensordot(counts, snaps, axes=1) / shots
-        # per-entry standard error from the cell-count second moments
-        second_re = np.tensordot(counts, snaps.real**2, axes=1) / shots
-        second_im = np.tensordot(counts, snaps.imag**2, axes=1) / shots
-        var = (second_re - est.real**2) + (second_im - est.imag**2)
-        stderr = np.sqrt(np.clip(var, 0.0, None) / shots)
-    else:
-        est = np.zeros((d, d), dtype=complex)
-        sq_re = np.zeros((d, d))
-        sq_im = np.zeros((d, d))
-        for _ in range(shots):
-            rec = single_shot(rho, ensemble, rng)
-            s = snapshot(ensemble, rec)
-            est += s
-            sq_re += s.real**2
-            sq_im += s.imag**2
-        est /= shots
-        var = (sq_re / shots - est.real**2) + (sq_im / shots - est.imag**2)
-        stderr = np.sqrt(np.clip(var, 0.0, None) / shots)
+    probs, snaps = _cell_snapshots(ensemble, rho)
+    counts = rng.multinomial(shots, probs / probs.sum())
+    est = np.tensordot(counts, snaps, axes=1) / shots
+    # per-entry standard error from the cell-count second moments
+    second_re = np.tensordot(counts, snaps.real**2, axes=1) / shots
+    second_im = np.tensordot(counts, snaps.imag**2, axes=1) / shots
+    var = (second_re - est.real**2) + (second_im - est.imag**2)
+    stderr = np.sqrt(np.clip(var, 0.0, None) / shots)
     return PartialShadowEstimator(
         estimate=est, ensemble_name=ensemble.name, p=ensemble.p, shots=shots,
         trusted=ensemble.trusted_patterns, n=ensemble.n, stderr=stderr)

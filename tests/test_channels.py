@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pqst import channels
 from pqst.channels import (ChannelError, depolarizing_channel,
                            depolarizing_inverse, forward_channel_exact,
                            per_site_inverse_channel_exact,
@@ -33,11 +34,18 @@ def test_forward_channel_trace_preserving(rng):
     assert np.abs(out - out.conj().T).max() < 1e-12
 
 
-def test_forward_channel_requires_members(rng):
-    implicit = UnitaryEnsemble("impl", 2, None, 5.0, "pseudo", frozenset(), False,
-                               sampler=lambda rng: np.eye(4, dtype=complex))
-    with pytest.raises(ChannelError):
-        forward_channel_exact(implicit, random_density(2, rng))
+def test_forward_channel_chunks_match_member_loop(rng):
+    # 11,520 members: the chunk boundaries fall inside the member list
+    group = enumerate_clifford_group(2)
+    assert len(group) % channels._CHUNK != 0
+    ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
+                          frozenset(), True)
+    rho = random_density(2, rng).mat
+    loop = np.zeros((4, 4), dtype=complex)
+    for u in group:
+        ud = u.conj().T
+        loop += (ud * np.einsum("ki,ij,jk->k", u, rho, ud).real) @ u
+    assert np.abs(forward_channel_exact(ens, rho) - loop / len(group)).max() < 1e-12
 
 
 def test_pseudo_inverse_unbiased_at_full_p(rng):

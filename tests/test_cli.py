@@ -90,6 +90,15 @@ def test_reconstruct_from_state_file(tmp_path):
     assert result.exit_code == 0
 
 
+def test_state_that_is_both_file_and_fixture_exit_2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_density_matrix(tmp_path / "rho3", load_fixture("rho3").state)
+    result = run("reconstruct", "--state", "rho3", "--sets", "pauli", "--exact")
+    assert result.exit_code == 2
+    assert "file" in result.output and "fixture 'rho3'" in result.output
+    assert str((tmp_path / "rho3").resolve()) in result.output
+
+
 def test_estimate_exact_matches_trace():
     result = run("estimate", "--state", "rho2X", "--obs", "1 ZZ",
                  "--method", "pqst", "--exact")

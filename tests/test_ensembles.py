@@ -1,19 +1,26 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from functools import reduce
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqst
+from pqst import ensembles, qcore
 from pqst.ensembles import (EnsembleError, check_members, clifford_ensemble,
                             clifford_group_order, enumerate_clifford_group,
                             ensemble_info, maximal_isotropic_subspaces,
                             mub_ensemble, mub_partition, num_symplectics,
                             parse_ensemble_list, parse_ensemble_spec,
-                            pauli_from_xz_vector, pauli_local_ensemble,
-                            sample_global_clifford, stabilizer_basis_unitaries,
-                            symplectic_matrix, clifford_from_tableau,
+                            pauli_local_ensemble, stabilizer_basis_unitaries,
                             zeta_A, zeta_m_active, zeta_union, zeta_x)
-from pqst.qcore import dag, is_unitary, spawn_rng
+from pqst.operators import PAULI_1Q
+from pqst.qcore import HADAMARD, PHASE_S, dag, is_unitary
 
 
 def test_zeta_A_sizes_and_p():
@@ -75,41 +82,6 @@ def test_clifford_closure_orders():
     assert num_symplectics(3) == 1451520
 
 
-def test_symplectic_matrices_are_symplectic():
-    n = 2
-    omega = np.zeros((2 * n, 2 * n), dtype=int)
-    for i in range(n):
-        omega[2 * i, 2 * i + 1] = 1
-        omega[2 * i + 1, 2 * i] = 1
-    for i in (0, 1, 17, 719):
-        g = symplectic_matrix(i, n)
-        assert np.array_equal((g @ omega @ g.T) % 2, omega)
-
-
-def test_clifford_from_tableau_conjugation():
-    rng = spawn_rng(99)
-    n = 3
-    for idx in (0, 12345, 999_999):
-        g = symplectic_matrix(idx, n)
-        signs = rng.integers(0, 2, size=2 * n)
-        u = clifford_from_tableau(g, signs, n)
-        assert is_unitary(u, tol=1e-9)
-        for j in range(n):
-            x_j = pauli_from_xz_vector(np.eye(2 * n, dtype=int)[2 * j], n)
-            img = u @ x_j @ dag(u)
-            want = (-1) ** int(signs[2 * j]) * pauli_from_xz_vector(g[2 * j], n)
-            assert np.abs(img - want).max() < 1e-9
-
-
-def test_sample_global_clifford_unitary():
-    rng = spawn_rng(3)
-    for n in (1, 2, 3):
-        for _ in range(3):
-            assert is_unitary(sample_global_clifford(n, rng), tol=1e-9)
-    with pytest.raises(EnsembleError):
-        sample_global_clifford(4, rng)
-
-
 def test_isotropic_subspace_counts():
     assert len(maximal_isotropic_subspaces(1)) == 3
     assert len(maximal_isotropic_subspaces(2)) == 15
@@ -142,7 +114,6 @@ def test_clifford_ensemble_reduction():
     assert ens.size == 15
     assert ens.p == 5
     assert ens.inverse_kind == "global-depolarizing"
-    assert ens.sampler is not None
     with pytest.raises(EnsembleError):
         clifford_ensemble(4)
 
@@ -173,3 +144,100 @@ def test_ensemble_info_text():
     assert "members: 13" in text
     assert "p: 13.0" in text
     assert "diagonal trusted: False" in text
+
+
+# ---------------------------------------------------------------------------
+# The cold Clifford / stabilizer / MUB layer.
+
+# SHA-256 of repr(maximal_isotropic_subspaces(n)), pinned from the earlier
+# int8-vector enumeration; the order of the subspaces fixes the member order
+# of clifford_ensemble.
+_ISOTROPIC_SHA256 = {
+    1: "b9b7fc2f0933ee7e74867f5a7e6b61af6366c0dbe9dca9ae8fb8a72e4311e904",
+    2: "1909fe840d4320b3963b411ba8f0055a6630c9b66ff3ae16a4b8eafea9a5a5a8",
+    3: "52f7faff7b924daff106e2da09703f1a33a0a1a737c506cc92e95a1f7b1d7302",
+}
+
+
+def _pauli(v):
+    """Hermitian Pauli word of an interleaved (x, z) bit tuple, built site by site."""
+    names = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    return reduce(np.kron, (PAULI_1Q[names[v[2 * i], v[2 * i + 1]]]
+                            for i in range(len(v) // 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isotropic_subspaces_pinned(n):
+    digest = hashlib.sha256(repr(maximal_isotropic_subspaces(n)).encode()).hexdigest()
+    assert digest == _ISOTROPIC_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stabilizer_and_mub_rows_are_ordered_joint_eigenvectors(n):
+    classes = list(maximal_isotropic_subspaces(n)) + list(mub_partition(n))
+    members = list(stabilizer_basis_unitaries(n)) + list(mub_ensemble(n).members)
+    for cls, u in zip(classes, members):
+        assert is_unitary(u, tol=1e-12)
+        basis = dag(u)  # columns are the basis vectors
+        signs = []
+        for v in cls:
+            image = _pauli(v) @ basis
+            eig = np.einsum("ik,ik->k", basis.conj(), image).real
+            assert np.abs(np.abs(eig) - 1).max() < 1e-12
+            assert np.abs(image - basis * eig).max() < 1e-12
+            signs.append(eig)
+        weighted = np.tensordot(3.0 ** np.arange(len(cls)), np.array(signs), axes=1)
+        assert np.all(np.diff(weighted) > 1)
+
+
+def _dag_stack(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _conjugation_keys(unitaries, n):
+    """Rounded images of X_j and Z_j under each U: equal iff the U agree up to phase."""
+    gens = [_pauli(tuple(int(b == k) for b in range(2 * n))) for k in range(2 * n)]
+    images = np.stack([unitaries @ p @ _dag_stack(unitaries) for p in gens], axis=1)
+    rounded = np.round(images.reshape(len(unitaries), -1), 6) + 0.0
+    return [row.tobytes() for row in rounded]
+
+
+@pytest.mark.parametrize("n,order", [(1, 24), (2, 11520)])
+def test_clifford_closure_is_a_group_modulo_phase(n, order):
+    group = np.array(enumerate_clifford_group(n))
+    assert len(group) == order == clifford_group_order(n)
+    assert np.abs(_dag_stack(group) @ group - np.eye(2**n)).max() < 1e-12
+    keys = _conjugation_keys(group, n)
+    assert len(set(keys)) == order  # distinct modulo phase
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    gens = ([HADAMARD, PHASE_S] if n == 1 else
+            [np.kron(HADAMARD, np.eye(2)), np.kron(np.eye(2), HADAMARD),
+             np.kron(PHASE_S, np.eye(2)), np.kron(np.eye(2), PHASE_S), cnot])
+    members = set(keys)
+    for g in gens:
+        assert set(_conjugation_keys(g @ group, n)) <= members
+
+
+def test_stabilizer_bases_use_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for obj in vars(ensembles).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    monkeypatch.setattr(qcore, "jacobi_eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert len(stabilizer_basis_unitaries(3)) == 135
+    assert mub_ensemble(3).size == 9
+
+
+def test_import_builds_no_ensemble():
+    src = str(Path(pqst.__file__).resolve().parents[1])
+    code = ("import pqst\n"
+            "from pqst import ensembles\n"
+            "caches = [v for v in vars(ensembles).values() if hasattr(v, 'cache_info')]\n"
+            "assert caches\n"
+            "print(sum(c.cache_info().currsize for c in caches))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "0"

@@ -59,17 +59,6 @@ def test_sampled_pse_converges_and_is_deterministic(rng):
             if activity_of_indices(i, j, 2) in pse1.trusted:
                 assert abs(pse1.estimate[i, j] - exact[i, j]) < 0.02
     assert pse1.stderr is not None and pse1.stderr.min() >= 0
-
-
-def test_sampled_pse_implicit_sampler_path(rng):
-    rho = random_density(2, rng)
-    ens = clifford_ensemble(2)
-    implicit = type(ens)(name="clifford-implicit", n=2, members=None, p=ens.p,
-                         inverse_kind=ens.inverse_kind,
-                         activity_signature=ens.activity_signature,
-                         diagonal_trusted=True, sampler=ens.sampler)
-    pse = sampled_pse(rho, implicit, 2000, spawn_rng(5, 0))
-    assert np.abs(np.trace(pse.estimate) - 1) < 0.2
     with pytest.raises(ValueError):
         sampled_pse(rho, ens, 0, spawn_rng(0, 0))
 
