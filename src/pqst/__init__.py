@@ -6,14 +6,13 @@ state estimators into full reconstructions, and benchmark against Pauli,
 global-Clifford, and MUB classical shadows.
 """
 
-from .qcore import (DensityMatrix, QcoreError, born_probabilities,
-                    conjugate_by_unitary, entanglement_measure, fidelity,
+from .qcore import (DensityMatrix, QcoreError, entanglement_measure, fidelity,
                     fidelity_with_clip, jacobi_eigh, load_density_matrix,
                     purity, save_density_matrix, spawn_rng, spectral_norm)
 from .operators import (Observable, ObservableError, PauliString,
                         activity_of_indices, activity_support,
                         format_observable, is_x_structured, parse_observable,
-                        rotate_to_x_structure)
+                        pattern_mask, pattern_name, rotate_to_x_structure)
 from .ensembles import (EnsembleError, UnitaryEnsemble, clifford_ensemble,
                         mub_ensemble, parse_ensemble_list, parse_ensemble_spec,
                         pauli_local_ensemble, zeta_A, zeta_m_active,
@@ -21,9 +20,9 @@ from .ensembles import (EnsembleError, UnitaryEnsemble, clifford_ensemble,
 from .channels import (ChannelError, depolarizing_channel, depolarizing_inverse,
                        forward_channel_exact, per_site_pauli_inverse,
                        pseudo_inverse)
-from .shadow import (CoverageError, PartialShadowEstimator, ShadowRecord,
-                     combine_pses, ensemble_pse, estimate_observable,
-                     sampled_pse, single_shot, snapshot, x_shadow_rotated)
+from .shadow import (CoverageError, PartialShadowEstimator, combine_pses,
+                     ensemble_pse, estimate_observable, pattern_owners,
+                     reconstruct_state, sampled_pse, snapshot)
 from .bench import (Fixture, MseResult, fit_scaling, load_fixture,
                     mse_experiment, nmr_pipeline_sim, pqst_auto_ensembles,
                     write_csv)

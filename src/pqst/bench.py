@@ -11,12 +11,11 @@ import numpy as np
 
 from .qcore import DensityMatrix, born_table, spawn_rng
 from .operators import Observable, PAULI_1Q, activity_support, \
-    expectation, is_x_structured, parse_observable
+    expectation, is_x_structured, parse_observable, pattern_qubits
 from .ensembles import UnitaryEnsemble, clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_union, zeta_x
 from .channels import apply_inverse
-from .shadow import CoverageError, combine_pses, ensemble_pse, \
-    reconstruction_report, sampled_pse
+from .shadow import CoverageError, pattern_owners, reconstruct_state
 
 DEFAULT_SHOT_GRID = (100, 1000, 10_000, 100_000)
 DEFAULT_TRIALS = 1000
@@ -198,16 +197,19 @@ def pqst_auto_ensembles(obs: Observable) -> list[UnitaryEnsemble]:
         return [zeta_x(n)]
     patterns = activity_support(obs)
     by_card = {}
-    for pat in patterns:
-        if pat:
-            by_card.setdefault(len(pat), set()).add(pat)
+    for mask in patterns:
+        if mask:
+            by_card.setdefault(mask.bit_count(), set()).add(mask)
     ensembles = []
     for card in sorted(by_card):
         if card == n:
             ensembles.append(zeta_x(n))
         else:
-            ensembles.append(zeta_union(n, sorted(by_card[card], key=sorted)))
-    if frozenset() in patterns and not any(e.diagonal_trusted for e in ensembles):
+            # descending masks list equal-size qubit sets in lexicographic label
+            # order; it fixes the union's member order, and so the draws
+            masks = sorted(by_card[card], reverse=True)
+            ensembles.append(zeta_union(n, [pattern_qubits(m, n) for m in masks]))
+    if 0 in patterns and not any(0 in e.trusted for e in ensembles):
         ensembles.append(zeta_x(n))
     return ensembles
 
@@ -225,26 +227,6 @@ def _method_ensembles(method: str, obs: Observable) -> list[UnitaryEnsemble]:
     raise BenchError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
 
 
-def _owned_terms(ensembles, obs: Observable):
-    """Exclusive term ownership by trusted activity pattern; all terms must land."""
-    owners = {}
-    for idx, ens in enumerate(ensembles):
-        for pat in ens.trusted_patterns:
-            if pat in owners:
-                raise CoverageError(
-                    f"pattern {sorted(pat) or 'diagonal'} trusted by both "
-                    f"{ensembles[owners[pat]].name} and {ens.name}")
-            owners[pat] = idx
-    parts = [[] for _ in ensembles]
-    orphans = [t for t in obs.terms if t.activity not in owners]
-    if orphans:
-        names = ", ".join(f"{t.coeff:g} {t.word}" for t in orphans)
-        raise CoverageError(f"observable terms not covered: {names}")
-    for t in obs.terms:
-        parts[owners[t.activity]].append(t)
-    return parts
-
-
 def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray) -> MeasurementModel:
     """Merge cells whose values agree to 1e-9; each group keeps its summed
     probability and its probability-weighted mean value, so sum p v is exact."""
@@ -260,9 +242,10 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
     are dropped. The inverse maps are self-adjoint, so cell (U, k) has value
     Tr(O_part M^-1(U^dag|k><k|U)) = <k|U M^-1(O_part) U^dag|k>, a Born table."""
     ensembles = _method_ensembles(method, obs)
-    parts = _owned_terms(ensembles, obs)
+    owners = pattern_owners([(e.name, e.trusted) for e in ensembles], obs.n, obs.terms)
     models = []
-    for ens, terms in zip(ensembles, parts):
+    for index, ens in enumerate(ensembles):
+        terms = [t for t in obs.terms if owners[t.activity] == index]
         if not terms:
             continue
         members = np.stack(ens.members)
@@ -383,19 +366,11 @@ def nmr_pipeline_sim(state: DensityMatrix, shots: int | None = None,
     """
     if state.n != 2:
         raise BenchError("the reconstruction pipeline is defined for 2 qubits")
+    if shots is not None and seed is None:
+        raise BenchError("sampled mode requires a seed")
     zx = zeta_x(2)
     z1 = zeta_union(2, [{1}, {2}])
-    if shots is None:
-        pses = [ensemble_pse(state, zx), ensemble_pse(state, z1)]
-    else:
-        if seed is None:
-            raise BenchError("sampled mode requires a seed")
-        pses = [sampled_pse(state, zx, shots, spawn_rng(seed, 0)),
-                sampled_pse(state, z1, shots, spawn_rng(seed, 1))]
-    estimate = combine_pses(pses)
-    report = reconstruction_report(estimate, pses,
-                                   shots_per_set=0 if shots is None else shots,
-                                   seed=seed, reference=state)
+    report = reconstruct_state(state, [zx, z1], shots, seed)
     populations = {}
     for ens in (zx, z1):
         diag = np.clip(born_table(np.stack(ens.members), state.mat).real, 0.0, None)

@@ -20,8 +20,8 @@ from .operators import Observable, ObservableError, format_observable, \
 from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
     parse_ensemble_spec
 from .channels import ChannelError
-from .shadow import CoverageError, combine_pses, ensemble_pse, \
-    estimate_observable, reconstruction_report, sampled_pse
+from .shadow import CoverageError, ensemble_pse, estimate_observable, \
+    reconstruct_state
 from . import bench as bench_mod
 from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, \
     bench_rows, draw_estimates, load_fixture, measurement_models, write_csv
@@ -71,6 +71,14 @@ def _merge(config: dict, **flags):
     for key, value in flags.items():
         out[key] = config.get(key) if value is None else value
     return out
+
+
+def _require_shots(shots) -> int:
+    if shots is None:
+        _fail("sampled mode needs --shots (or use --exact)", 2)
+    if int(shots) < 1:
+        _fail(f"--shots must be >= 1, got {shots}", 2)
+    return int(shots)
 
 
 def _require_seed(seed):
@@ -131,26 +139,18 @@ def reconstruct(state, sets_spec, exact, shots, seed, output, config_path):
         _fail("--sets is required (e.g. 'zeta-X,zeta-A:1|zeta-A:2')", 2)
     ensembles = parse_ensemble_list(opts["sets"], rho.n)
     if exact:
-        pses = [ensemble_pse(rho, ens) for ens in ensembles]
-        shots_per_set = 0
-        run_seed = opts["seed"]
+        report = reconstruct_state(rho, ensembles, seed=opts["seed"])
     else:
-        if opts["shots"] is None:
-            _fail("sampled mode needs --shots (or use --exact)", 2)
-        run_seed = _require_seed(opts["seed"])
-        shots_per_set = int(opts["shots"])
-        pses = [sampled_pse(rho, ens, shots_per_set, spawn_rng(run_seed, i))
-                for i, ens in enumerate(ensembles)]
-    estimate = combine_pses(pses)
-    report = reconstruction_report(estimate, pses, shots_per_set, run_seed,
-                                   reference=rho)
+        shots_per_set = _require_shots(opts["shots"])
+        report = reconstruct_state(rho, ensembles, shots_per_set,
+                                   _require_seed(opts["seed"]))
     report["state"] = state_name
     if opts["output"]:
         with open(opts["output"], "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
         click.echo(f"report written to {opts['output']}")
-    click.echo(f"sets: {', '.join(p.ensemble_name for p in pses)}")
+    click.echo(f"sets: {', '.join(s['name'] for s in report['sets'])}")
     click.echo(f"fidelity vs input: {report['fidelity_vs_reference']:.10f}")
 
 
@@ -196,10 +196,8 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
         click.echo(f"method: {method_label} (exact)")
         click.echo(f"estimate: {value!r}")
     else:
-        if opts["shots"] is None:
-            _fail("sampled mode needs --shots (or use --exact)", 2)
+        share = _require_shots(opts["shots"])
         run_seed = _require_seed(opts["seed"])
-        share = int(opts["shots"])
         models = measurement_models(rho, obs, models_method)
         value, stderr = draw_estimates(models, share, spawn_rng(run_seed, 0), 1)
         click.echo(f"method: {method_label} (sampled, {share} shots per set, "
@@ -232,8 +230,11 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_pat
     run_seed = _require_seed(opts["seed"])
     if opts["output"] is None:
         _fail("--output CSV path is required", 2)
-    grid = DEFAULT_SHOT_GRID if opts["shots_grid"] is None else \
-        tuple(int(s) for s in str(opts["shots_grid"]).split(","))
+    try:
+        grid = DEFAULT_SHOT_GRID if opts["shots_grid"] is None else \
+            tuple(int(s) for s in str(opts["shots_grid"]).split(","))
+    except ValueError:
+        _fail(f"--shots-grid must be comma-separated integers, got {opts['shots_grid']!r}", 2)
     n_trials = DEFAULT_TRIALS if opts["trials"] is None else int(opts["trials"])
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     rows = bench_rows(state_name, rho, obs_name, obs, method_list, grid,

@@ -16,14 +16,14 @@ partition the nontrivial Pauli words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .qcore import HADAMARD, HS, ID2, is_unitary, kron_all
-from .operators import PAULI_1Q
+from .qcore import HADAMARD, HS, ID2, kron_all
+from .operators import PAULI_1Q, pattern_mask, pattern_qubits
 
 
 class EnsembleError(ValueError):
@@ -32,25 +32,21 @@ class EnsembleError(ValueError):
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
-    """A finite unitary set with its pseudo-inverse strength and activity signature."""
+    """A finite unitary set with its pseudo-inverse strength and the activity
+    patterns (operators.pattern_mask) its estimator is exact on; 0 in `trusted`
+    means the diagonal is."""
 
     name: str
     n: int
     members: tuple
     p: float | None
     inverse_kind: str  # 'pseudo' | 'global-depolarizing' | 'per-site-pauli'
-    activity_signature: frozenset
-    diagonal_trusted: bool
+    trusted: frozenset
     local_factors: tuple | None = None  # per-member single-qubit factors, if local
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def trusted_patterns(self) -> frozenset:
-        extra = {frozenset()} if self.diagonal_trusted else set()
-        return frozenset(set(self.activity_signature) | extra)
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +65,6 @@ def _mat_keys(stack: np.ndarray) -> list:
     0.0 folds -0.0 into 0.0, which would otherwise give a second key."""
     rounded = np.round(stack.reshape(len(stack), -1), 6) + 0.0
     return [row.tobytes() for row in rounded]
-
-
-def check_members(name, members):
-    """Raise if any member fails the unitarity residual test."""
-    for m in members:
-        if not is_unitary(m):
-            raise EnsembleError(f"ensemble {name} contains a non-unitary member")
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +105,10 @@ def zeta_A(n: int, a) -> UnitaryEnsemble:
     members = _word_members(n, words)
     full = len(a) == n
     name = "zeta-X" if full else "zeta-A:" + ",".join(map(str, sorted(a)))
+    trusted = {pattern_mask(a, n)} | ({0} if full else set())
     return UnitaryEnsemble(
         name=name, n=n, members=members, p=float(2 ** len(a) + 1),
-        inverse_kind="pseudo", activity_signature=frozenset({a}),
-        diagonal_trusted=full, local_factors=tuple(words),
+        inverse_kind="pseudo", trusted=frozenset(trusted), local_factors=tuple(words),
     )
 
 
@@ -139,9 +128,8 @@ def zeta_union(n: int, subsets) -> UnitaryEnsemble:
     members = _word_members(n, words)
     name = "|".join("zeta-A:" + ",".join(map(str, sorted(a))) for a in subsets)
     return UnitaryEnsemble(
-        name=name, n=n, members=members, p=float(len(members)),
-        inverse_kind="pseudo", activity_signature=frozenset(subsets),
-        diagonal_trusted=False, local_factors=tuple(words),
+        name=name, n=n, members=members, p=float(len(members)), inverse_kind="pseudo",
+        trusted=frozenset(pattern_mask(a, n) for a in subsets), local_factors=tuple(words),
     )
 
 
@@ -158,19 +146,7 @@ def zeta_m_active(n: int, m: int) -> UnitaryEnsemble:
     subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), m)]
     ens = zeta_union(n, subsets)
     assert ens.size == comb(n, m) * 2**m + 1
-    return UnitaryEnsemble(
-        name=f"zeta-m:{m}", n=n, members=ens.members, p=ens.p,
-        inverse_kind="pseudo", activity_signature=ens.activity_signature,
-        diagonal_trusted=False, local_factors=ens.local_factors,
-    )
-
-
-def _all_patterns(n, include_empty=True):
-    qubits = range(1, n + 1)
-    pats = set()
-    for r in range(0 if include_empty else 1, n + 1):
-        pats.update(frozenset(c) for c in itertools.combinations(qubits, r))
-    return frozenset(pats)
+    return replace(ens, name=f"zeta-m:{m}")
 
 
 def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
@@ -180,9 +156,8 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
     words = list(itertools.product(("1", "H", "HS"), repeat=n))
     return UnitaryEnsemble(
         name="pauli", n=n, members=_word_members(n, words), p=None,
-        inverse_kind="per-site-pauli",
-        activity_signature=_all_patterns(n, include_empty=False),
-        diagonal_trusted=True, local_factors=tuple(words),
+        inverse_kind="per-site-pauli", trusted=frozenset(range(2**n)),
+        local_factors=tuple(words),
     )
 
 
@@ -227,19 +202,6 @@ def enumerate_clifford_group(n: int) -> tuple:
                     fresh.append(seen[key])
         frontier = np.array(fresh).reshape(-1, d, d)
     return tuple(seen.values())
-
-
-def num_symplectics(n: int) -> int:
-    """|Sp(2n, 2)|."""
-    x = 1
-    for j in range(1, n + 1):
-        x *= 2 ** (2 * j - 1) * (2 ** (2 * j) - 1)
-    return x
-
-
-def clifford_group_order(n: int) -> int:
-    """|Cl(2^n)| modulo global phase: 4^n sign choices times |Sp(2n, 2)|."""
-    return 4**n * num_symplectics(n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +296,7 @@ def clifford_ensemble(n: int) -> UnitaryEnsemble:
     return UnitaryEnsemble(
         name="clifford", n=n, members=stabilizer_basis_unitaries(n),
         p=float(2**n + 1), inverse_kind="global-depolarizing",
-        activity_signature=_all_patterns(n, include_empty=False),
-        diagonal_trusted=True,
+        trusted=frozenset(range(2**n)),
     )
 
 
@@ -372,24 +333,32 @@ def mub_ensemble(n: int) -> UnitaryEnsemble:
     members = tuple(_class_basis(cls, n) for cls in mub_partition(n))
     return UnitaryEnsemble(
         name="mub", n=n, members=members, p=float(2**n + 1),
-        inverse_kind="global-depolarizing",
-        activity_signature=_all_patterns(n, include_empty=False),
-        diagonal_trusted=True,
+        inverse_kind="global-depolarizing", trusted=frozenset(range(2**n)),
     )
 
 
 # ---------------------------------------------------------------------------
 # CLI-visible ensemble names.
 
+def _integers(text: str, spec: str) -> list[int]:
+    """The comma-separated integers of a spec's argument."""
+    try:
+        return [int(q) for q in text.split(",") if q]
+    except ValueError:
+        raise EnsembleError(f"ensemble spec {spec!r}: {text!r} is not a list of integers") from None
+
+
 def _parse_single(spec: str, n: int):
     spec = spec.strip()
     if spec == "zeta-X":
         return zeta_x(n)
     if spec.startswith("zeta-A:"):
-        qubits = [int(q) for q in spec[len("zeta-A:"):].split(",") if q]
-        return zeta_A(n, qubits)
+        return zeta_A(n, _integers(spec[len("zeta-A:"):], spec))
     if spec.startswith("zeta-m:"):
-        return zeta_m_active(n, int(spec[len("zeta-m:"):]))
+        m = _integers(spec[len("zeta-m:"):], spec)
+        if len(m) != 1:
+            raise EnsembleError(f"ensemble spec {spec!r}: zeta-m takes one integer m")
+        return zeta_m_active(n, m[0])
     if spec == "pauli":
         return pauli_local_ensemble(n)
     if spec == "clifford":
@@ -407,7 +376,7 @@ def parse_ensemble_spec(spec: str, n: int) -> UnitaryEnsemble:
             part = part.strip()
             if not part.startswith("zeta-A:"):
                 raise EnsembleError(f"union parts must be zeta-A specs, got {part!r}")
-            parts.append(frozenset(int(q) for q in part[len("zeta-A:"):].split(",") if q))
+            parts.append(frozenset(_integers(part[len("zeta-A:"):], part)))
         return zeta_union(n, parts)
     return _parse_single(spec, n)
 
@@ -425,14 +394,15 @@ def parse_ensemble_list(text: str, n: int) -> list:
 
 
 def ensemble_info(ens: UnitaryEnsemble) -> str:
-    sig = sorted((sorted(a) for a in ens.activity_signature), key=lambda s: (len(s), s))
+    sig = sorted((pattern_qubits(m, ens.n) for m in ens.trusted if m),
+                 key=lambda s: (len(s), s))
     lines = [
         f"name: {ens.name}",
         f"n_qubits: {ens.n}",
         f"members: {ens.size}",
         f"p: {ens.p if ens.p is not None else 'per-site (3 per qubit)'}",
         f"inverse: {ens.inverse_kind}",
-        f"activity signature: {[''.join(map(str, s)) or 'none' for s in sig]}",
-        f"diagonal trusted: {ens.diagonal_trusted}",
+        f"activity signature: {[''.join(map(str, s)) for s in sig]}",
+        f"diagonal trusted: {0 in ens.trusted}",
     ]
     return "\n".join(lines)

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import HADAMARD, ID2, PHASE_S, dag, index_to_bits, kron_all
+from .qcore import HADAMARD, ID2, PHASE_S, dag, kron_all
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -47,9 +47,9 @@ class PauliString:
         return self.coeff * kron_all(*(PAULI_1Q[c] for c in self.word))
 
     @property
-    def activity(self) -> frozenset[int]:
-        """Qubits (1-based) carrying X or Y; the element class this word touches."""
-        return frozenset(j + 1 for j, c in enumerate(self.word) if c in "XY")
+    def activity(self) -> int:
+        """Mask of the qubits carrying X or Y: the pattern of the elements this word touches."""
+        return pattern_mask((j + 1 for j, c in enumerate(self.word) if c in "XY"), self.n)
 
 
 class Observable:
@@ -96,19 +96,35 @@ def format_observable(obs: Observable) -> str:
     return "; ".join(f"{t.coeff:g} {t.word}" for t in obs.terms)
 
 
-def activity_of_element(i_bits, j_bits) -> frozenset[int]:
-    """Set of qubits where the two index bitstrings differ (A of an A-active element)."""
-    if len(i_bits) != len(j_bits):
-        raise ObservableError("bitstrings have different lengths")
-    return frozenset(q + 1 for q, (a, b) in enumerate(zip(i_bits, j_bits)) if a != b)
+# ---------------------------------------------------------------------------
+# Activity patterns. Element (i, j) is A-active when the bits of i and j differ
+# exactly on the qubits in A. A pattern is the integer mask of A with qubit 1 as
+# the most significant of n bits, the bit order of basis indices, so the pattern
+# of element (i, j) is i ^ j and the diagonal's is 0.
+
+def pattern_mask(qubits, n: int) -> int:
+    """Mask of a set of 1-based qubit labels."""
+    return sum(1 << (n - q) for q in qubits)
 
 
-def activity_of_indices(i: int, j: int, n: int) -> frozenset[int]:
-    return activity_of_element(index_to_bits(i, n), index_to_bits(j, n))
+def pattern_qubits(mask: int, n: int) -> list[int]:
+    """Ascending 1-based qubit labels of a mask."""
+    return [q for q in range(1, n + 1) if mask >> (n - q) & 1]
 
 
-def activity_support(obs: Observable) -> frozenset[frozenset[int]]:
-    """Element classes touched by the observable, one pattern per term's X/Y positions."""
+def pattern_name(mask: int, n: int) -> str:
+    """'{1,3}'-style name of a pattern, 'diagonal' for 0."""
+    return "{" + ",".join(map(str, pattern_qubits(mask, n))) + "}" if mask else "diagonal"
+
+
+def activity_of_indices(n: int) -> np.ndarray:
+    """The pattern i ^ j of every element (i, j) of a 2^n x 2^n matrix."""
+    index = np.arange(2**n)
+    return np.bitwise_xor.outer(index, index)
+
+
+def activity_support(obs: Observable) -> frozenset[int]:
+    """Patterns touched by the observable, one per term's X/Y positions."""
     return frozenset(t.activity for t in obs.terms)
 
 

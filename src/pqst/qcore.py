@@ -42,16 +42,6 @@ def num_qubits(mat: np.ndarray) -> int:
     return n
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with qubit-1-most-significant ordering."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise QcoreError(f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds {MAX_DIM}")
-    num_qubits(a), num_qubits(b)
-    return np.kron(a, b)
-
-
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for m in mats:
@@ -61,27 +51,11 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=complex)
-    return float(np.abs(dag(u) @ u - np.eye(u.shape[0])).max())
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    return unitarity_residual(u) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Bitstrings. Qubit 1 is the most significant bit: index k = sum bits[j] 2^(n-1-j).
 
 def index_to_bits(k: int, n: int) -> tuple[int, ...]:
     return tuple((k >> (n - 1 - j)) & 1 for j in range(n))
-
-
-def bits_to_index(bits) -> int:
-    k = 0
-    for b in bits:
-        k = (k << 1) | int(b)
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -181,43 +155,10 @@ class DensityMatrix:
         return 2**self.n
 
 
-def conjugate_by_unitary(rho: DensityMatrix, u: np.ndarray, tol: float = 1e-10) -> DensityMatrix:
-    """U rho U^dag, rejecting non-unitary u."""
-    resid = unitarity_residual(u)
-    if resid > tol:
-        raise QcoreError(f"conjugation operator is not unitary (residual {resid:.2e})")
-    out = u @ rho.mat @ dag(u)
-    return DensityMatrix((out + dag(out)) / 2, herm_tol=1e-9, trace_tol=1e-9, eig_floor=-1e-8)
-
-
 def born_table(members, x) -> np.ndarray:
     """<k|U x U^dag|k> for each stacked member U (rows) and outcome k (columns)."""
     u = np.asarray(members)
     return np.einsum("cki,ij,ckj->ck", u, x, u.conj())
-
-
-def born_probabilities(rho: DensityMatrix) -> np.ndarray:
-    """Computational-basis outcome distribution <k|rho|k>, clamped and renormalized."""
-    probs = np.diag(rho.mat).real.copy()
-    probs[probs < 0] = 0.0
-    return probs / probs.sum()
-
-
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw a measurement outcome bitstring from a probability vector."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.min() < -1e-9:
-        raise QcoreError(f"negative probability {probs.min():.2e}")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise QcoreError(f"probabilities sum to {probs.sum()!r}, not 1")
-    n = probs.size.bit_length() - 1
-    k = sample_outcome_index(probs, rng)
-    return index_to_bits(k, n)
-
-
-def sample_outcome_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    return int(rng.choice(probs.size, p=probs / probs.sum()))
 
 
 # ---------------------------------------------------------------------------

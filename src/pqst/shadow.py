@@ -1,5 +1,5 @@
 """The estimation engine: sampled shadows, exact ensemble-mode PSEs, PSE
-combination, and observable estimation including the rotated X-shadow path."""
+combination by pattern ownership, observable estimation and reconstruction."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, dag, index_to_bits
-from .operators import Observable, activity_of_indices, activity_support, \
-    expectation, rotate_to_x_structure
+from .qcore import DensityMatrix, dag, fidelity_with_clip, index_to_bits, spawn_rng
+from .operators import Observable, activity_of_indices, expectation, pattern_name, \
+    pattern_qubits
 from .ensembles import UnitaryEnsemble
 from .channels import ChannelError, apply_inverse, depolarizing_inverse, \
     forward_channel_exact, pseudo_inverse, _local_snapshot
@@ -19,17 +19,9 @@ class CoverageError(ValueError):
     """An activity pattern required by the task is not trusted by any PSE."""
 
 
-@dataclass(frozen=True)
-class ShadowRecord:
-    """One measurement shot: ensemble member index + outcome."""
-
-    outcome: tuple
-    member_index: int
-
-
 @dataclass
 class PartialShadowEstimator:
-    """A density-matrix estimate trusted only on declared element classes."""
+    """A density-matrix estimate trusted only on its ensemble's patterns."""
 
     estimate: np.ndarray
     ensemble_name: str
@@ -39,36 +31,17 @@ class PartialShadowEstimator:
     n: int
     stderr: np.ndarray | None = None
 
-    @property
-    def diagonal_trusted(self) -> bool:
-        return frozenset() in self.trusted
 
-
-def single_shot(rho: DensityMatrix, ensemble: UnitaryEnsemble,
-                rng: np.random.Generator) -> ShadowRecord:
-    """Uniform member draw, then a Born-distributed outcome of the rotated state."""
-    idx = int(rng.integers(0, ensemble.size))
-    u = ensemble.members[idx]
-    probs = np.clip(np.einsum("ki,ij,jk->k", u, rho.mat, dag(u)).real, 0.0, None)
-    probs /= probs.sum()
-    k = int(rng.choice(probs.size, p=probs))
-    return ShadowRecord(outcome=index_to_bits(k, ensemble.n), member_index=idx)
-
-
-def snapshot(ensemble: UnitaryEnsemble, record: ShadowRecord) -> np.ndarray:
-    """Inverse-mapped single-shot contribution M^{-1}(U^dag |k><k| U)."""
-    n = ensemble.n
-    k = 0
-    for b in record.outcome:
-        k = (k << 1) | b
+def snapshot(ensemble: UnitaryEnsemble, member: int, k: int) -> np.ndarray:
+    """Inverse-mapped single-shot contribution M^{-1}(U^dag |k><k| U) of outcome k."""
     if ensemble.inverse_kind == "per-site-pauli":
-        return _local_snapshot(ensemble.local_factors[record.member_index], record.outcome)
-    ket = dag(ensemble.members[record.member_index])[:, k]
+        return _local_snapshot(ensemble.local_factors[member], index_to_bits(k, ensemble.n))
+    ket = dag(ensemble.members[member])[:, k]
     proj = np.outer(ket, ket.conj())
     if ensemble.inverse_kind == "pseudo":
         return pseudo_inverse(ensemble.p, proj)
     if ensemble.inverse_kind == "global-depolarizing":
-        return depolarizing_inverse(n, proj)
+        return depolarizing_inverse(ensemble.n, proj)
     raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
 
 
@@ -83,8 +56,7 @@ def _cell_snapshots(ensemble: UnitaryEnsemble, rho: DensityMatrix):
         p = np.clip(np.einsum("ki,ij,jk->k", u, rho.mat, dag(u)).real, 0.0, None)
         probs[i] = p / p.sum() / ensemble.size
         for k in range(d):
-            snaps[i, k] = snapshot(ensemble, ShadowRecord(
-                outcome=index_to_bits(k, ensemble.n), member_index=i))
+            snaps[i, k] = snapshot(ensemble, i, k)
     return probs.ravel(), snaps.reshape(-1, d, d)
 
 
@@ -103,7 +75,7 @@ def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
     stderr = np.sqrt(np.clip(var, 0.0, None) / shots)
     return PartialShadowEstimator(
         estimate=est, ensemble_name=ensemble.name, p=ensemble.p, shots=shots,
-        trusted=ensemble.trusted_patterns, n=ensemble.n, stderr=stderr)
+        trusted=ensemble.trusted, n=ensemble.n, stderr=stderr)
 
 
 def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadowEstimator:
@@ -111,25 +83,29 @@ def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadow
     est = apply_inverse(ensemble, forward_channel_exact(ensemble, rho))
     return PartialShadowEstimator(
         estimate=est, ensemble_name=ensemble.name, p=ensemble.p, shots=0,
-        trusted=ensemble.trusted_patterns, n=ensemble.n)
+        trusted=ensemble.trusted, n=ensemble.n)
 
 
-def _pattern_owners(pses, n: int):
-    """Exclusive owner per activity pattern; the diagonal needs a designated
-    diagonal-trusting (zeta_X-type) PSE."""
+def pattern_owners(sets, n: int, terms=()) -> dict:
+    """The index of the one set trusting each pattern, for (name, trusted) pairs.
+    A pattern trusted by two sets, or a term whose pattern no set trusts, is a
+    CoverageError."""
     owners = {}
-    for pse in pses:
-        for pattern in pse.trusted:
-            if pattern in owners:
-                raise CoverageError(
-                    f"pattern {sorted(pattern) or 'diagonal'} trusted by both "
-                    f"{owners[pattern].ensemble_name} and {pse.ensemble_name}")
-            owners[pattern] = pse
+    for index, (name, trusted) in enumerate(sets):
+        for mask in sorted(trusted):
+            if mask in owners:
+                raise CoverageError(f"pattern {pattern_name(mask, n)} trusted by both "
+                                    f"{sets[owners[mask]][0]} and {name}")
+            owners[mask] = index
+    orphans = [t for t in terms if t.activity not in owners]
+    if orphans:
+        names = ", ".join(f"{t.coeff:g} {t.word}" for t in orphans)
+        raise CoverageError(f"observable terms not covered by any set: {names}")
     return owners
 
 
-def _pattern_name(pattern) -> str:
-    return "{" + ",".join(map(str, sorted(pattern))) + "}" if pattern else "diagonal"
+def _pse_owners(pses, terms=()) -> dict:
+    return pattern_owners([(p.ensemble_name, p.trusted) for p in pses], pses[0].n, terms)
 
 
 def combine_pses(pses) -> np.ndarray:
@@ -138,72 +114,35 @@ def combine_pses(pses) -> np.ndarray:
     if not pses:
         raise CoverageError("no PSEs given")
     n = pses[0].n
-    d = 2**n
-    owners = _pattern_owners(pses, n)
-    missing = set()
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            pattern = activity_of_indices(i, j, n)
-            owner = owners.get(pattern)
-            if owner is None:
-                missing.add(pattern)
-            else:
-                out[i, j] = owner.estimate[i, j]
+    owners = _pse_owners(pses)
+    masks = activity_of_indices(n)
+    missing = sorted(set(range(2**n)) - owners.keys(), key=lambda m: pattern_qubits(m, n))
     if missing:
-        names = ", ".join(_pattern_name(p) for p in sorted(missing, key=sorted))
+        names = ", ".join(pattern_name(m, n) for m in missing)
         raise CoverageError(f"no PSE trusts activity patterns: {names}")
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for mask, index in owners.items():
+        owned = masks == mask
+        out[owned] = pses[index].estimate[owned]
     return (out + dag(out)) / 2
 
 
-def estimate_observable(obs: Observable, pse_or_pses) -> float:
+def estimate_observable(obs: Observable, pses) -> float:
     """Tr(O rho_hat) with each Pauli term read off the PSE trusting its pattern."""
-    pses = [pse_or_pses] if isinstance(pse_or_pses, PartialShadowEstimator) else list(pse_or_pses)
-    owners = _pattern_owners(pses, pses[0].n)
-    unsupported = [t for t in obs.terms if t.activity not in owners]
-    if unsupported:
-        names = ", ".join(f"{t.coeff:g} {t.word}" for t in unsupported)
-        raise CoverageError(f"observable terms not covered by any PSE: {names}")
-    return sum(expectation(t.matrix(), owners[t.activity].estimate) for t in obs.terms)
-
-
-def x_shadow_rotated(rho: DensityMatrix, obs: Observable, exact: bool = True,
-                     shots: int | None = None, rng: np.random.Generator | None = None,
-                     zeta_x_ensemble: UnitaryEnsemble | None = None) -> float:
-    """Estimate <O> by X-shadow tomography of the rotated state U rho U^dag."""
-    from .ensembles import zeta_x
-    from .qcore import conjugate_by_unitary
-
-    found = rotate_to_x_structure(obs)
-    if found is None:
-        raise CoverageError("no per-qubit rotation X-structures this observable")
-    u, rotated, _ = found
-    ens = zeta_x_ensemble if zeta_x_ensemble is not None else zeta_x(obs.n)
-    rotated_state = conjugate_by_unitary(rho, u)
-    if exact:
-        pse = ensemble_pse(rotated_state, ens)
-    else:
-        if shots is None or rng is None:
-            raise ValueError("sampled mode needs shots and rng")
-        pse = sampled_pse(rotated_state, ens, shots, rng)
-    return estimate_observable(rotated, pse)
+    owners = _pse_owners(pses, obs.terms)
+    return sum(expectation(t.matrix(), pses[owners[t.activity]].estimate) for t in obs.terms)
 
 
 def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,
                           reference: DensityMatrix | None = None) -> dict:
     """Structured reconstruction report: estimate, trusted flags, fidelity."""
-    from .qcore import fidelity_with_clip
-
     n = pses[0].n
-    d = 2**n
-    owners = _pattern_owners(pses, n)
-    trusted_flags = [[activity_of_indices(i, j, n) in owners for j in range(d)]
-                     for i in range(d)]
+    owned = np.isin(activity_of_indices(n), list(_pse_owners(pses)))
     report = {
         "n_qubits": n,
         "estimate_re": [[float(x) for x in row] for row in estimate.real],
         "estimate_im": [[float(x) for x in row] for row in estimate.imag],
-        "trusted": trusted_flags,
+        "trusted": owned.tolist(),
         "sets": [{"name": p.ensemble_name, "p": p.p, "shots": p.shots} for p in pses],
         "shots_per_set": shots_per_set,
         "seed": seed,
@@ -213,3 +152,16 @@ def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,
         report["fidelity_vs_reference"] = float(f)
         report["fidelity_clipped_mass"] = float(clipped)
     return report
+
+
+def reconstruct_state(rho: DensityMatrix, ensembles, shots: int | None = None,
+                      seed=None) -> dict:
+    """Reconstruction report of rho from one PSE per set, combined. Exact mode
+    when `shots` is None; otherwise set i draws `shots` shots from the stream
+    (seed, i)."""
+    if shots is None:
+        pses = [ensemble_pse(rho, ens) for ens in ensembles]
+    else:
+        pses = [sampled_pse(rho, ens, shots, spawn_rng(seed, i))
+                for i, ens in enumerate(ensembles)]
+    return reconstruction_report(combine_pses(pses), pses, shots or 0, seed, reference=rho)

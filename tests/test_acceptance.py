@@ -7,10 +7,9 @@ lines; each test also enforces its runtime budget.
 import time
 
 import numpy as np
-import pytest
 
 from pqst.bench import load_fixture, mse_experiment, bench_rows, fit_scaling, \
-    nmr_pipeline_sim, write_csv
+    write_csv
 from pqst.ensembles import enumerate_clifford_group, zeta_m_active, zeta_union, \
     zeta_x
 from pqst.golden import (check_baseline_channels, check_closed_forms,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, METHODS,
-                        MseResult, _method_ensembles, _owned_terms, bench_rows,
+                        MseResult, _method_ensembles, bench_rows,
                         fit_scaling, load_fixture, measurement_models,
                         mse_experiment, nmr_pipeline_sim, pqst_auto_ensembles,
                         write_csv)
@@ -10,8 +10,8 @@ from pqst.channels import apply_inverse
 from pqst.ensembles import clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_m_active
 from pqst.operators import expectation, parse_observable
-from pqst.qcore import born_probabilities, born_table
-from pqst.shadow import CoverageError, _cell_snapshots
+from pqst.qcore import born_table
+from pqst.shadow import CoverageError, _cell_snapshots, pattern_owners
 from conftest import random_density, random_hermitian
 
 PANELS = [("rho2", "O2X"), ("rho2", "O2NX"), ("rho2X", "O2"),
@@ -135,8 +135,10 @@ def test_merged_models_keep_mean_and_variance(state_name, obs_name):
     obs = load_fixture(obs_name).observable
     for method in METHODS:
         ensembles = _method_ensembles(method, obs)
-        owned = [(ens, terms) for ens, terms in
-                 zip(ensembles, _owned_terms(ensembles, obs)) if terms]
+        owners = pattern_owners([(e.name, e.trusted) for e in ensembles], obs.n, obs.terms)
+        owned = [(ens, [t for t in obs.terms if owners[t.activity] == index])
+                 for index, ens in enumerate(ensembles)]
+        owned = [(ens, terms) for ens, terms in owned if terms]
         models = measurement_models(state, obs, method)
         assert [m.ensemble_name for m in models] == [ens.name for ens, _ in owned]
         for model, (ens, terms) in zip(models, owned):
@@ -182,11 +184,13 @@ def test_coverage_error_names_patterns():
     state = load_fixture("rho2").state
     obs = parse_observable("1 XX; 1 XI")
     # force a configuration with no owner for the single-active pattern
-    from pqst.bench import _owned_terms
-    from pqst.ensembles import zeta_x
+    from pqst.ensembles import zeta_A, zeta_x
     with pytest.raises(CoverageError) as err:
-        _owned_terms([zeta_x(2)], obs)
+        pattern_owners([("zeta-X", zeta_x(2).trusted)], 2, obs.terms)
     assert "XI" in str(err.value)
+    with pytest.raises(CoverageError) as err:
+        pattern_owners([(e.name, e.trusted) for e in (zeta_A(2, {1}), zeta_m_active(2, 1))], 2)
+    assert str(err.value) == "pattern {1} trusted by both zeta-A:1 and zeta-m:1"
 
 
 def test_bench_rows_and_csv(tmp_path):
@@ -214,7 +218,7 @@ def test_nmr_pipeline_exact_and_sampled():
     members = zeta_x(2).local_factors
     idx = members.index(("1", "1"))
     assert np.allclose(report["populations"]["zeta-X"][idx],
-                       born_probabilities(state))
+                       np.diag(state.mat).real)
     sampled = nmr_pipeline_sim(state, shots=50_000, seed=2)
     assert sampled["fidelity_vs_reference"] >= 0.97
     with pytest.raises(BenchError):

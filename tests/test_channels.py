@@ -39,7 +39,7 @@ def test_forward_channel_chunks_match_member_loop(rng):
     group = enumerate_clifford_group(2)
     assert len(group) % channels._CHUNK != 0
     ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
-                          frozenset(), True)
+                          frozenset(range(4)))
     rho = random_density(2, rng).mat
     loop = np.zeros((4, 4), dtype=complex)
     for u in group:
@@ -61,7 +61,7 @@ def test_clifford_closure_channel_is_depolarizing(rng):
     rho = random_density(2, rng)
     group = enumerate_clifford_group(2)
     ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
-                          frozenset(), True)
+                          frozenset(range(4)))
     assert np.abs(forward_channel_exact(ens, rho)
                   - depolarizing_channel(2, rho.mat)).max() < 1e-10
     # the 15-basis reduction computes the same channel 768x faster

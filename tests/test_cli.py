@@ -1,12 +1,13 @@
 import json
 
-import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from pqst.bench import load_fixture
 from pqst.cli import main
 from pqst.operators import expectation, parse_observable
 from pqst.qcore import save_density_matrix
+from conftest import random_density
 
 
 class _Result:
@@ -118,6 +119,25 @@ def test_estimate_rotated_matches_direct():
     assert "pqst-rotated" in result.output
 
 
+def test_estimate_rotated_exact_matches_trace(tmp_path, rng):
+    rho = random_density(2, rng)
+    path = tmp_path / "state.json"
+    save_density_matrix(path, rho)
+    for text in ("1 ZX", "7 XZ; 15 YZ", "2 YY"):
+        result = run("estimate", "--state", str(path), "--obs", text,
+                     "--method", "pqst-rotated", "--exact")
+        assert result.exit_code == 0
+        value = float(result.output.split("estimate:")[1].strip())
+        assert abs(value - expectation(parse_observable(text), rho.mat)) < 1e-10
+
+
+def test_estimate_rotated_rejects_unrotatable_exit_2():
+    result = run("estimate", "--state", "rho2", "--obs", "1 XI; 1 ZI",
+                 "--method", "pqst-rotated", "--exact")
+    assert result.exit_code == 2
+    assert "no per-qubit rotation" in result.output
+
+
 def test_estimate_sampled_prints_stderr():
     result = run("estimate", "--state", "rho2", "--obs", "O2X",
                  "--method", "pauli", "--shots", "2000", "--seed", "8")
@@ -161,3 +181,36 @@ def test_config_file_with_flag_override(tmp_path):
     value = float(result.output.split("estimate:")[1].strip())
     rho = load_fixture("rho2X").state
     assert abs(value - expectation(parse_observable("1 XX"), rho.mat)) < 1e-10
+
+
+_BAD_VALUES = [
+    ("reconstruct", {"state": "rho2", "sets": "zeta-A:x", "exact": True}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-m:x", "exact": True}),
+    ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
+               "shots_grid": "100,abc"}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": 1, "shots": 0}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": 1, "shots": -3}),
+    ("estimate", {"state": "rho2", "obs": "O2X", "seed": 1, "shots": 0}),
+    ("estimate", {"state": "rho2", "obs": "O2X", "seed": 1, "shots": -5}),
+]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command,options", _BAD_VALUES)
+def test_bad_values_exit_2_with_one_error_line(tmp_path, monkeypatch, command, options,
+                                               via_config):
+    monkeypatch.chdir(tmp_path)
+    if via_config:
+        (tmp_path / "cfg.json").write_text(json.dumps(options))
+        args = ["--config", "cfg.json"]
+    else:
+        args = []
+        for key, value in options.items():
+            flag = "--" + key.replace("_", "-")
+            args += [flag] if value is True else [flag, str(value)]
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()

@@ -12,15 +12,20 @@ import pytest
 
 import pqst
 from pqst import ensembles, qcore
-from pqst.ensembles import (EnsembleError, check_members, clifford_ensemble,
-                            clifford_group_order, enumerate_clifford_group,
-                            ensemble_info, maximal_isotropic_subspaces,
-                            mub_ensemble, mub_partition, num_symplectics,
-                            parse_ensemble_list, parse_ensemble_spec,
-                            pauli_local_ensemble, stabilizer_basis_unitaries,
-                            zeta_A, zeta_m_active, zeta_union, zeta_x)
-from pqst.operators import PAULI_1Q
-from pqst.qcore import HADAMARD, PHASE_S, dag, is_unitary
+from pqst.bench import load_fixture, pqst_auto_ensembles
+from pqst.ensembles import (EnsembleError, clifford_ensemble,
+                            enumerate_clifford_group, ensemble_info,
+                            maximal_isotropic_subspaces, mub_ensemble,
+                            mub_partition, parse_ensemble_list,
+                            parse_ensemble_spec, pauli_local_ensemble,
+                            stabilizer_basis_unitaries, zeta_A, zeta_m_active,
+                            zeta_union, zeta_x)
+from pqst.operators import PAULI_1Q, pattern_mask
+from pqst.qcore import HADAMARD, PHASE_S, dag
+
+
+def is_unitary(u, tol=1e-10):
+    return np.abs(dag(u) @ u - np.eye(len(u))).max() <= tol
 
 
 def test_zeta_A_sizes_and_p():
@@ -30,15 +35,15 @@ def test_zeta_A_sizes_and_p():
                 ens = zeta_A(n, a)
                 assert ens.size == 2**r + 1
                 assert ens.p == 2**r + 1
-                assert ens.activity_signature == frozenset({frozenset(a)})
-                assert ens.diagonal_trusted == (r == n)
-                check_members(ens.name, ens.members)
+                diagonal = {0} if r == n else set()
+                assert ens.trusted == {pattern_mask(a, n)} | diagonal
+                assert all(is_unitary(m) for m in ens.members)
 
 
 def test_zeta_x_is_full_register():
     ens = zeta_x(2)
     assert ens.name == "zeta-X"
-    assert ens.size == 5 and ens.diagonal_trusted
+    assert ens.size == 5 and ens.trusted == {0, 0b11}
 
 
 def test_zeta_union_sizes():
@@ -71,15 +76,14 @@ def test_pauli_local_ensemble():
     ens = pauli_local_ensemble(2)
     assert ens.size == 9
     assert ens.inverse_kind == "per-site-pauli"
-    assert ens.diagonal_trusted
-    assert len(ens.activity_signature) == 3  # {1}, {2}, {1,2}
-    check_members(ens.name, ens.members)
+    assert ens.trusted == {0, 0b01, 0b10, 0b11}  # the diagonal, {2}, {1}, {1,2}
+    assert all(is_unitary(m) for m in ens.members)
 
 
 def test_clifford_closure_orders():
-    assert len(enumerate_clifford_group(1)) == 24 == clifford_group_order(1)
-    assert len(enumerate_clifford_group(2)) == 11520 == clifford_group_order(2)
-    assert num_symplectics(3) == 1451520
+    # |Cl(2^n)| modulo phase = 4^n |Sp(2n, 2)|: 4 x 6 and 16 x 720
+    assert len(enumerate_clifford_group(1)) == 24
+    assert len(enumerate_clifford_group(2)) == 11520
 
 
 def test_isotropic_subspace_counts():
@@ -123,7 +127,7 @@ def test_parse_ensemble_specs():
     assert parse_ensemble_spec("zeta-A:1,3", 3).size == 5
     assert parse_ensemble_spec("zeta-m:2", 3).size == 13
     union = parse_ensemble_spec("zeta-A:1|zeta-A:2", 2)
-    assert union.size == 5 and len(union.activity_signature) == 2
+    assert union.size == 5 and union.trusted == {0b10, 0b01}
     for name in ("pauli", "clifford", "mub"):
         assert parse_ensemble_spec(name, 2).name == name
     with pytest.raises(EnsembleError):
@@ -205,7 +209,7 @@ def _conjugation_keys(unitaries, n):
 @pytest.mark.parametrize("n,order", [(1, 24), (2, 11520)])
 def test_clifford_closure_is_a_group_modulo_phase(n, order):
     group = np.array(enumerate_clifford_group(n))
-    assert len(group) == order == clifford_group_order(n)
+    assert len(group) == order
     assert np.abs(_dag_stack(group) @ group - np.eye(2**n)).max() < 1e-12
     keys = _conjugation_keys(group, n)
     assert len(set(keys)) == order  # distinct modulo phase
@@ -241,3 +245,52 @@ def test_import_builds_no_ensemble():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# Member order. The multinomial draws of a sampled PSE or an MSE trial follow
+# the order of an ensemble's members, so these pins guard the bytes of the
+# six-panel CSVs. pqst_auto_ensembles hands equal-cardinality patterns to
+# zeta_union in descending mask order, which is lexicographic qubit-label order.
+
+def _order_digest(ensembles):
+    return hashlib.sha256(repr([(e.name, e.local_factors) for e in ensembles])
+                          .encode()).hexdigest()
+
+
+_AUTO_SHA256 = {
+    "O2X": "6025023461ccc9c9697cd03746b23c1f092cbf9e2a4126592636d9ca863a36e7",
+    "O2NX": "8ac228a4993e330240b63c1e2d44e5a63c152d24f8d9d5c623f19fcdd83b9e31",
+    "O2": "7720fb417b7025efc573825fbe804aa312602af644841be87078d3b427f7c1bc",
+    "O3X": "8b73ba1044cb92ae82727adfe4d6bb55a89d0183daee142c9792622151b01d81",
+    "O3NX": "0fd1c5f5e530c6d2080d24b26285fa55c3721cee4b0f464f4bc3cbdf7b0cc2f6",
+    "O3": "7d94b5a44afc3faa5c0cfe4c127518c122941fd5bc6194b470379756da598acb",
+}
+
+# (every union of >= 2 equal-cardinality subsets, in both orders; zeta_m:1..n)
+_UNION_SHA256 = {
+    2: ("ff72d5d44b7f8aeb9cdf9a6bddab06cf4e640f5721e81b2e9e2682ee3d4f3410",
+        "b5814e08ed444ed4c8299f17d804f74f10ddc3ed7d14e37703fedab3943f10a0"),
+    3: ("8e4c8103b201627b8cac0f7984428298ef33118b4d27f6599b608f8146583c53",
+        "7f17e72f7f4abeb97539e089a0fa6ce7dc6a7d6bb9d8ee308a6c7f0a8be80c3b"),
+    4: ("b9210c3c423f3b78286386d4df1c8da60e3acfc6b54f629cdcedb372fbe0668f",
+        "edef9da51f033c84a3be5b83451ebda76d2589df7dcffb1e5a6139ae0f161049"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AUTO_SHA256))
+def test_pqst_auto_member_order_pinned(name):
+    ensembles = pqst_auto_ensembles(load_fixture(name).observable)
+    assert _order_digest(ensembles) == _AUTO_SHA256[name]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_union_and_m_active_member_order_pinned(n):
+    unions = []
+    for r in range(1, n):
+        subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), r)]
+        for count in range(2, len(subsets) + 1):
+            for combo in itertools.combinations(subsets, count):
+                unions += [zeta_union(n, combo), zeta_union(n, combo[::-1])]
+    m_active = [zeta_m_active(n, m) for m in range(1, n + 1)]
+    assert (_order_digest(unions), _order_digest(m_active)) == _UNION_SHA256[n]

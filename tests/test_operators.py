@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqst.operators import (Observable, ObservableError, PAULI_1Q, PauliString,
-                            activity_of_element, activity_of_indices,
-                            activity_support, expectation, format_observable,
-                            is_x_structured, parse_observable,
+                            activity_of_indices, activity_support, expectation,
+                            format_observable, is_x_structured, parse_observable,
+                            pattern_mask, pattern_name, pattern_qubits,
                             rotate_to_x_structure)
 from conftest import random_density
 
@@ -17,7 +17,7 @@ coeffs = st.floats(min_value=-100, max_value=100, allow_nan=False,
 def test_pauli_string_basics():
     t = PauliString("XIZ", 2.0)
     assert t.n == 3
-    assert t.activity == frozenset({1})
+    assert t.activity == 0b100  # qubit 1 is the most significant bit
     assert np.allclose(t.matrix(), 2.0 * np.kron(np.kron(PAULI_1Q["X"], np.eye(2)),
                                                  PAULI_1Q["Z"]))
     with pytest.raises(ObservableError):
@@ -49,16 +49,19 @@ def test_parse_checks_register_size():
 
 
 def test_activity_of_element():
-    assert activity_of_element((0, 0), (1, 0)) == frozenset({1})
-    assert activity_of_element((0, 1), (0, 1)) == frozenset()
-    assert activity_of_indices(0, 3, 2) == frozenset({1, 2})
-    with pytest.raises(ObservableError):
-        activity_of_element((0,), (0, 1))
+    masks = activity_of_indices(2)
+    assert masks[0, 2] == pattern_mask({1}, 2) == 0b10
+    assert masks[1, 1] == 0
+    assert masks[0, 3] == pattern_mask({1, 2}, 2) == 0b11
+    assert masks.shape == (4, 4)
+    assert pattern_qubits(0b101, 3) == [1, 3]
+    assert pattern_name(0b101, 3) == "{1,3}"
+    assert pattern_name(0, 3) == "diagonal"
 
 
 def test_activity_support_and_x_structure():
     obs = parse_observable("8 ZZ; 2 XY; 3 XX; -10 IZ")
-    assert activity_support(obs) == frozenset({frozenset(), frozenset({1, 2})})
+    assert activity_support(obs) == frozenset({0, 0b11})
     assert is_x_structured(obs)
     assert not is_x_structured(parse_observable("7 XZ"))
 

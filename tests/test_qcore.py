@@ -2,22 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pqst.qcore import (DensityMatrix, HADAMARD, HS, ID2, PHASE_S, QcoreError,
-                        bits_to_index, born_probabilities, conjugate_by_unitary,
-                        dag, entanglement_measure, eigvalsh, fidelity,
-                        fidelity_with_clip, index_to_bits, jacobi_eigh,
-                        kron_all, load_density_matrix, matrix_sqrt_psd,
-                        partial_trace, partial_transpose, purity,
-                        save_density_matrix, spawn_rng, spectral_norm,
-                        tensor_product, unitarity_residual)
+                        dag, entanglement_measure, fidelity, fidelity_with_clip,
+                        index_to_bits, jacobi_eigh, kron_all, load_density_matrix,
+                        matrix_sqrt_psd, partial_trace, partial_transpose, purity,
+                        save_density_matrix, spawn_rng, spectral_norm)
 from conftest import random_density, random_hermitian
 
 
 def test_gate_constants_unitary():
     for u in (ID2, HADAMARD, PHASE_S, HS):
-        assert unitarity_residual(u) < 1e-14
+        assert np.abs(dag(u) @ u - ID2).max() < 1e-14
     assert np.allclose(HS, HADAMARD @ PHASE_S)
 
 
@@ -26,7 +23,7 @@ def test_bits_round_trip(n, data):
     k = data.draw(st.integers(min_value=0, max_value=2**n - 1))
     bits = index_to_bits(k, n)
     assert len(bits) == n
-    assert bits_to_index(bits) == k
+    assert sum(b << (n - 1 - j) for j, b in enumerate(bits)) == k
     # qubit 1 is the most significant bit
     assert bits[0] == k >> (n - 1)
 
@@ -60,8 +57,7 @@ def test_matrix_sqrt_psd(rng):
 
 
 def test_tensor_product_dimension_cap():
-    with pytest.raises(QcoreError):
-        tensor_product(np.eye(8), np.eye(4))
+    assert kron_all(*(ID2,) * 4).shape == (16, 16)
     with pytest.raises(QcoreError):
         kron_all(*(ID2,) * 5)
 
@@ -83,22 +79,6 @@ def test_relaxed_validation_accepts_printed_precision():
         DensityMatrix(mat)
     relaxed = DensityMatrix.relaxed(mat)
     assert relaxed.validation_residuals["trace"] == pytest.approx(3e-4, abs=1e-9)
-
-
-def test_conjugate_by_unitary_rejects_nonunitary(rng):
-    rho = random_density(1, rng)
-    with pytest.raises(QcoreError):
-        conjugate_by_unitary(rho, np.array([[1, 1], [0, 1]], dtype=complex))
-    out = conjugate_by_unitary(rho, HADAMARD)
-    assert np.allclose(out.mat, HADAMARD @ rho.mat @ dag(HADAMARD))
-
-
-def test_born_probabilities_normalized(rng):
-    rho = random_density(2, rng)
-    probs = born_probabilities(rho)
-    assert probs.min() >= 0
-    assert probs.sum() == pytest.approx(1.0)
-    assert np.allclose(probs, np.diag(rho.mat).real)
 
 
 def test_purity_and_fidelity_pure_states():

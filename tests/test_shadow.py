@@ -1,22 +1,13 @@
 import numpy as np
 import pytest
 
-from pqst.channels import forward_channel_exact, pseudo_inverse
 from pqst.ensembles import (clifford_ensemble, mub_ensemble,
                             pauli_local_ensemble, zeta_A, zeta_union, zeta_x)
 from pqst.operators import activity_of_indices, expectation, parse_observable
 from pqst.qcore import spawn_rng
-from pqst.shadow import (CoverageError, ShadowRecord, combine_pses,
-                         ensemble_pse, estimate_observable, sampled_pse,
-                         single_shot, snapshot, x_shadow_rotated)
+from pqst.shadow import (CoverageError, combine_pses, ensemble_pse,
+                         estimate_observable, sampled_pse, snapshot)
 from conftest import random_density
-
-
-def test_single_shot_record_shape(rng):
-    rho = random_density(2, rng)
-    rec = single_shot(rho, zeta_x(2), spawn_rng(0, 0))
-    assert rec.member_index in range(5)
-    assert len(rec.outcome) == 2 and set(rec.outcome) <= {0, 1}
 
 
 def test_snapshot_is_unbiased_over_cells(rng):
@@ -30,9 +21,7 @@ def test_snapshot_is_unbiased_over_cells(rng):
         for i, u in enumerate(ens.members):
             probs = np.einsum("ki,ij,jk->k", u, rho.mat, u.conj().T).real
             for k in range(d):
-                rec = ShadowRecord(outcome=tuple((k >> (1 - j)) & 1 for j in range(2)),
-                                   member_index=i)
-                mean += probs[k] * snapshot(ens, rec)
+                mean += probs[k] * snapshot(ens, i, k)
         mean /= ens.size
         exact = ensemble_pse(rho, ens).estimate
         assert np.abs(mean - exact).max() < 1e-10
@@ -44,7 +33,7 @@ def test_ensemble_pse_trusted_entries(rng):
     assert pse.shots == 0 and pse.p == 3
     assert abs(pse.estimate[0, 2] - rho.mat[0, 2]) < 1e-12
     assert abs(pse.estimate[1, 3] - rho.mat[1, 3]) < 1e-12
-    assert not pse.diagonal_trusted
+    assert pse.trusted == {0b10} and 0 not in pse.trusted
 
 
 def test_sampled_pse_converges_and_is_deterministic(rng):
@@ -54,10 +43,9 @@ def test_sampled_pse_converges_and_is_deterministic(rng):
     pse2 = sampled_pse(rho, ens, 200_000, spawn_rng(42, 0))
     assert np.array_equal(pse1.estimate, pse2.estimate)
     exact = ensemble_pse(rho, ens).estimate
-    for i in range(4):
-        for j in range(4):
-            if activity_of_indices(i, j, 2) in pse1.trusted:
-                assert abs(pse1.estimate[i, j] - exact[i, j]) < 0.02
+    trusted = np.isin(activity_of_indices(2), list(pse1.trusted))
+    assert trusted.sum() == 8  # the diagonal and the anti-diagonal
+    assert np.abs(pse1.estimate - exact)[trusted].max() < 0.02
     assert pse1.stderr is not None and pse1.stderr.min() >= 0
     with pytest.raises(ValueError):
         sampled_pse(rho, ens, 0, spawn_rng(0, 0))
@@ -93,18 +81,5 @@ def test_estimate_observable_matches_trace(rng):
     assert estimate_observable(obs, pses) == pytest.approx(
         expectation(obs, rho.mat), abs=1e-10)
     with pytest.raises(CoverageError):
-        estimate_observable(obs, pses[1])
+        estimate_observable(obs, pses[1:])
 
-
-def test_x_shadow_rotated_exact_matches_trace(rng):
-    rho = random_density(2, rng)
-    for text in ("1 ZX", "7 XZ; 15 YZ", "2 YY"):
-        obs = parse_observable(text)
-        assert x_shadow_rotated(rho, obs) == pytest.approx(
-            expectation(obs, rho.mat), abs=1e-10)
-
-
-def test_x_shadow_rotated_rejects_unrotatable(rng):
-    rho = random_density(2, rng)
-    with pytest.raises(CoverageError):
-        x_shadow_rotated(rho, parse_observable("1 XI; 1 ZI"))
