@@ -17,12 +17,11 @@ from .ensembles import (EnsembleError, UnitaryEnsemble, clifford_ensemble,
                         mub_ensemble, parse_ensemble_list, parse_ensemble_spec,
                         pauli_local_ensemble, zeta_A, zeta_m_active,
                         zeta_union, zeta_x)
-from .channels import (ChannelError, depolarizing_channel, depolarizing_inverse,
-                       forward_channel_exact, per_site_pauli_inverse,
-                       pseudo_inverse)
+from .channels import (ChannelError, apply_inverse, depolarizing_channel,
+                       forward_channel_exact, pseudo_inverse)
 from .shadow import (CoverageError, PartialShadowEstimator, combine_pses,
                      ensemble_pse, estimate_observable, pattern_owners,
-                     reconstruct_state, sampled_pse, snapshot)
+                     reconstruct_state, sampled_pse)
 from .bench import (Fixture, MseResult, fit_scaling, load_fixture,
                     mse_experiment, nmr_pipeline_sim, pqst_auto_ensembles,
                     write_csv)

@@ -15,7 +15,7 @@ from .operators import Observable, PAULI_1Q, activity_support, \
 from .ensembles import UnitaryEnsemble, clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_union, zeta_x
 from .channels import apply_inverse
-from .shadow import CoverageError, pattern_owners, reconstruct_state
+from .shadow import CoverageError, cell_probabilities, pattern_owners, reconstruct_state
 
 DEFAULT_SHOT_GRID = (100, 1000, 10_000, 100_000)
 DEFAULT_TRIALS = 1000
@@ -227,10 +227,15 @@ def _method_ensembles(method: str, obs: Observable) -> list[UnitaryEnsemble]:
     raise BenchError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
 
 
-def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray) -> MeasurementModel:
+def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray,
+                 part: np.ndarray) -> MeasurementModel:
     """Merge cells whose values agree to 1e-9; each group keeps its summed
-    probability and its probability-weighted mean value, so sum p v is exact."""
-    _, group = np.unique(np.round(values, 9), return_inverse=True)
+    probability and its probability-weighted mean value, so sum p v is exact.
+    When all cells agree, the one value is Tr(part) / d, since each member's
+    outcomes sum to Tr(part), and it is drawn with probability 1."""
+    keys, group = np.unique(np.round(values, 9), return_inverse=True)
+    if keys.size == 1:
+        return MeasurementModel(name, np.ones(1), np.trace(part).real[None] / len(part))
     p = np.bincount(group, weights=probs)
     pv = np.bincount(group, weights=probs * values)
     keep = p > 0
@@ -248,12 +253,10 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
         terms = [t for t in obs.terms if owners[t.activity] == index]
         if not terms:
             continue
-        members = np.stack(ens.members)
-        probs = np.clip(born_table(members, state.mat).real, 0.0, None)
-        probs = (probs / probs.sum(axis=1, keepdims=True) / ens.size).ravel()
+        probs = (cell_probabilities(ens, state) / ens.size).ravel()
         part = apply_inverse(ens, sum(t.matrix() for t in terms))
-        values = born_table(members, part).real.ravel()
-        models.append(_merge_cells(ens.name, probs / probs.sum(), values))
+        values = born_table(np.stack(ens.members), part).real.ravel()
+        models.append(_merge_cells(ens.name, probs / probs.sum(), values, part))
     if not models:
         raise CoverageError("no measurement model owns any observable term")
     return models
@@ -371,9 +374,6 @@ def nmr_pipeline_sim(state: DensityMatrix, shots: int | None = None,
     zx = zeta_x(2)
     z1 = zeta_union(2, [{1}, {2}])
     report = reconstruct_state(state, [zx, z1], shots, seed)
-    populations = {}
-    for ens in (zx, z1):
-        diag = np.clip(born_table(np.stack(ens.members), state.mat).real, 0.0, None)
-        populations[ens.name] = (diag / diag.sum(axis=1, keepdims=True)).tolist()
-    report["populations"] = populations
+    report["populations"] = {ens.name: cell_probabilities(ens, state).tolist()
+                             for ens in (zx, z1)}
     return report

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import DensityMatrix, born_table, dag
-from .ensembles import UnitaryEnsemble, _LOCAL
+from .qcore import DensityMatrix, born_table
+from .ensembles import UnitaryEnsemble
 
 # Members per batch in forward_channel_exact: stacking all 11,520 elements of
 # the n=2 Clifford closure at once costs several MB of peak memory.
@@ -40,58 +40,34 @@ def pseudo_inverse(p: float, a: np.ndarray) -> np.ndarray:
     return p * a - np.eye(a.shape[0])
 
 
-def depolarizing_inverse(n: int, a: np.ndarray) -> np.ndarray:
-    """D^{-1}_{1/(2^n+1)}(A) = (2^n+1) A - Tr(A) 1."""
-    a = np.asarray(a, dtype=complex)
-    return (2**n + 1) * a - complex(np.trace(a)) * np.eye(a.shape[0])
-
-
 def depolarizing_channel(n: int, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     return (a + complex(np.trace(a)) * np.eye(a.shape[0])) / (2**n + 1)
 
 
-def per_site_pauli_inverse(factors) -> np.ndarray:
-    """Tensor product over sites of D_{1/3}^{-1} applied to each single-qubit factor."""
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (2, 2):
-            raise ChannelError("per-site inverse expects 2x2 factors")
-        out = np.kron(out, 3.0 * f - complex(np.trace(f)) * np.eye(2))
-    return out
-
-
-def _local_snapshot(word, k_bits):
-    """Per-site inverse snapshot for a {1,H,HS} word and an outcome bitstring."""
-    factors = []
-    for w, kj in zip(word, k_bits):
-        u = _LOCAL[w]
-        ket = dag(u)[:, kj]
-        factors.append(np.outer(ket, ket.conj()))
-    return per_site_pauli_inverse(factors)
-
-
 def _per_site_inverse_map(n: int, a: np.ndarray) -> np.ndarray:
-    """D_{1/3}^{-1}(A) = 3A - Tr(A) 1 applied on every site of an n-qubit operator."""
-    t = a.reshape((2,) * (2 * n))
-    for j in range(n):
-        site_eye = np.eye(2).reshape([2 if q in (j, n + j) else 1 for q in range(2 * n)])
+    """D_{1/3}^{-1}(A) = 3A - Tr(A) 1 applied on every site of each n-qubit
+    operator in a stack (the last two axes)."""
+    lead = a.ndim - 2
+    t = a.reshape(a.shape[:lead] + (2,) * (2 * n))
+    for j in range(lead, lead + n):
+        site_eye = np.eye(2).reshape([2 if q in (j, n + j) else 1 for q in range(t.ndim)])
         traced = np.expand_dims(np.trace(t, axis1=j, axis2=n + j), (j, n + j))
         t = 3 * t - traced * site_eye
     return t.reshape(a.shape)
 
 
 def apply_inverse(ensemble: UnitaryEnsemble, a) -> np.ndarray:
-    """The ensemble's inverse map M^{-1}(A), linear in A. Every kind is
+    """The ensemble's inverse map M^{-1}(A) on the last two axes of a stack,
+    linear in A. The pseudo-inverse and the global depolarizing inverse are both
+    pA - Tr(A) 1 (Clifford and MUB sets carry p = 2^n + 1). Every kind is
     self-adjoint, so Tr(O M^{-1}(S)) = Tr(M^{-1}(O) S) for any O and S."""
     a = np.asarray(a, dtype=complex)
     if ensemble.inverse_kind == "per-site-pauli":
         return _per_site_inverse_map(ensemble.n, a)
-    if ensemble.inverse_kind == "global-depolarizing":
-        return depolarizing_inverse(ensemble.n, a)
-    if ensemble.inverse_kind == "pseudo":
-        return ensemble.p * a - complex(np.trace(a)) * np.eye(a.shape[0])
+    if ensemble.inverse_kind in ("pseudo", "global-depolarizing"):
+        traces = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+        return ensemble.p * a - traces * np.eye(a.shape[-1])
     raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
 
 

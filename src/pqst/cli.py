@@ -65,26 +65,47 @@ def _load_config(path):
     return doc
 
 
+def _integer(key: str, value):
+    """An integer option: a JSON integer or integer text, or None when unset."""
+    if value is None or type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    _fail(f"{key} must be an integer, got {value!r}", 2)
+
+
 def _merge(config: dict, **flags):
     """Explicit CLI flags win; config file fills unset options."""
     out = {}
     for key, value in flags.items():
         out[key] = config.get(key) if value is None else value
+        if key in ("shots", "seed", "trials"):
+            out[key] = _integer(key, out[key])
     return out
+
+
+def _exact(flag: bool, config: dict) -> bool:
+    value = config.get("exact", False)
+    if not isinstance(value, bool):
+        _fail(f"exact must be true or false, got {value!r}", 2)
+    return flag or value
 
 
 def _require_shots(shots) -> int:
     if shots is None:
         _fail("sampled mode needs --shots (or use --exact)", 2)
-    if int(shots) < 1:
+    if shots < 1:
         _fail(f"--shots must be >= 1, got {shots}", 2)
-    return int(shots)
+    return shots
 
 
 def _require_seed(seed):
     if seed is None:
         _fail("a --seed is required for stochastic runs (no implicit default)", 2)
-    return int(seed)
+    return seed
 
 
 def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
@@ -133,7 +154,7 @@ def reconstruct(state, sets_spec, exact, shots, seed, output, config_path):
     cfg = _load_config(config_path)
     opts = _merge(cfg, state=state, sets=sets_spec, shots=shots, seed=seed,
                   output=output)
-    exact = exact or bool(cfg.get("exact", False))
+    exact = _exact(exact, cfg)
     state_name, rho = _resolve_state(opts["state"])
     if opts["sets"] is None:
         _fail("--sets is required (e.g. 'zeta-X,zeta-A:1|zeta-A:2')", 2)
@@ -171,7 +192,7 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
     """Estimate the expectation value of a Pauli-string observable."""
     cfg = _load_config(config_path)
     opts = _merge(cfg, state=state, obs=obs_spec, shots=shots, seed=seed)
-    exact = exact or bool(cfg.get("exact", False))
+    exact = _exact(exact, cfg)
     state_name, rho = _resolve_state(opts["state"])
     obs_name, obs = _resolve_observable(opts["obs"], rho.n)
 
@@ -235,7 +256,7 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_pat
             tuple(int(s) for s in str(opts["shots_grid"]).split(","))
     except ValueError:
         _fail(f"--shots-grid must be comma-separated integers, got {opts['shots_grid']!r}", 2)
-    n_trials = DEFAULT_TRIALS if opts["trials"] is None else int(opts["trials"])
+    n_trials = DEFAULT_TRIALS if opts["trials"] is None else opts["trials"]
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     rows = bench_rows(state_name, rho, obs_name, obs, method_list, grid,
                       n_trials, run_seed)

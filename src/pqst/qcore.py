@@ -52,13 +52,6 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bitstrings. Qubit 1 is the most significant bit: index k = sum bits[j] 2^(n-1-j).
-
-def index_to_bits(k: int, n: int) -> tuple[int, ...]:
-    return tuple((k >> (n - 1 - j)) & 1 for j in range(n))
-
-
-# ---------------------------------------------------------------------------
 # Hermitian eigensolver: cyclic Jacobi with complex rotations.
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):

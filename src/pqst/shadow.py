@@ -7,12 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, dag, fidelity_with_clip, index_to_bits, spawn_rng
+from .qcore import DensityMatrix, born_table, dag, fidelity_with_clip, spawn_rng
 from .operators import Observable, activity_of_indices, expectation, pattern_name, \
     pattern_qubits
 from .ensembles import UnitaryEnsemble
-from .channels import ChannelError, apply_inverse, depolarizing_inverse, \
-    forward_channel_exact, pseudo_inverse, _local_snapshot
+from .channels import apply_inverse, forward_channel_exact
 
 
 class CoverageError(ValueError):
@@ -32,50 +31,35 @@ class PartialShadowEstimator:
     stderr: np.ndarray | None = None
 
 
-def snapshot(ensemble: UnitaryEnsemble, member: int, k: int) -> np.ndarray:
-    """Inverse-mapped single-shot contribution M^{-1}(U^dag |k><k| U) of outcome k."""
-    if ensemble.inverse_kind == "per-site-pauli":
-        return _local_snapshot(ensemble.local_factors[member], index_to_bits(k, ensemble.n))
-    ket = dag(ensemble.members[member])[:, k]
-    proj = np.outer(ket, ket.conj())
-    if ensemble.inverse_kind == "pseudo":
-        return pseudo_inverse(ensemble.p, proj)
-    if ensemble.inverse_kind == "global-depolarizing":
-        return depolarizing_inverse(ensemble.n, proj)
-    raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
-
-
-def _cell_snapshots(ensemble: UnitaryEnsemble, rho: DensityMatrix):
-    """Per-(member, outcome) probabilities and inverse snapshots for an explicit
-    ensemble. Shots are iid over these cells, so sampling reduces to a
-    multinomial draw over them."""
-    d = rho.dim
-    probs = np.empty((ensemble.size, d))
-    snaps = np.empty((ensemble.size, d, d, d), dtype=complex)
-    for i, u in enumerate(ensemble.members):
-        p = np.clip(np.einsum("ki,ij,jk->k", u, rho.mat, dag(u)).real, 0.0, None)
-        probs[i] = p / p.sum() / ensemble.size
-        for k in range(d):
-            snaps[i, k] = snapshot(ensemble, i, k)
-    return probs.ravel(), snaps.reshape(-1, d, d)
+def cell_probabilities(ensemble: UnitaryEnsemble, rho: DensityMatrix) -> np.ndarray:
+    """Born probabilities <k|U rho U^dag|k> of every member (rows) and outcome
+    (columns), clipped at 0 and normalised per member."""
+    table = np.clip(born_table(np.stack(ensemble.members), rho.mat).real, 0.0, None)
+    return table / table.sum(axis=1, keepdims=True)
 
 
 def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
                 rng: np.random.Generator) -> PartialShadowEstimator:
-    """Empirical-mean shadow estimator over `shots` single shots (Born-sampled)."""
+    """Empirical-mean shadow estimator over `shots` single shots. Shots are iid
+    over the (member, outcome) cells, so the counts are one multinomial draw
+    over them; the snapshots M^{-1}(U^dag|k><k|U) are built one member at a time."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs, snaps = _cell_snapshots(ensemble, rho)
-    counts = rng.multinomial(shots, probs / probs.sum())
-    est = np.tensordot(counts, snaps, axes=1) / shots
+    probs = (cell_probabilities(ensemble, rho) / ensemble.size).ravel()
+    counts = rng.multinomial(shots, probs / probs.sum()).reshape(ensemble.size, -1)
+    first = np.zeros((rho.dim, rho.dim), dtype=complex)
+    second = np.zeros((rho.dim, rho.dim))
+    for u, f in zip(ensemble.members, counts / shots):
+        # row k of U is <k|U, so projector k is the outer product of its conjugate with it
+        snaps = apply_inverse(ensemble, u.conj()[:, :, None] * u[:, None, :])
+        first += np.tensordot(f, snaps, axes=1)
+        second += np.tensordot(f, snaps.real**2 + snaps.imag**2, axes=1)
     # per-entry standard error from the cell-count second moments
-    second_re = np.tensordot(counts, snaps.real**2, axes=1) / shots
-    second_im = np.tensordot(counts, snaps.imag**2, axes=1) / shots
-    var = (second_re - est.real**2) + (second_im - est.imag**2)
-    stderr = np.sqrt(np.clip(var, 0.0, None) / shots)
+    var = second - (first.real**2 + first.imag**2)
     return PartialShadowEstimator(
-        estimate=est, ensemble_name=ensemble.name, p=ensemble.p, shots=shots,
-        trusted=ensemble.trusted, n=ensemble.n, stderr=stderr)
+        estimate=first, ensemble_name=ensemble.name, p=ensemble.p, shots=shots,
+        trusted=ensemble.trusted, n=ensemble.n,
+        stderr=np.sqrt(np.clip(var, 0.0, None) / shots))
 
 
 def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadowEstimator:

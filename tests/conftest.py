@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pqst.qcore import DensityMatrix
+from pqst.channels import pseudo_inverse
+from pqst.qcore import HADAMARD, HS, ID2, DensityMatrix, kron_all
 
 
 def random_density(n, rng):
@@ -14,6 +15,41 @@ def random_density(n, rng):
 def random_hermitian(d, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2
+
+
+_SITE = {"1": ID2, "H": HADAMARD, "HS": HS}
+
+
+def reference_snapshot(ens, member, k):
+    """M^{-1}(U^dag|k><k|U) of one cell, written out per inverse kind without
+    channels.apply_inverse: the kron of 3|k_q><k_q| - 1 over the sites of a
+    local word (qubit 1 is the most significant bit of k), pseudo_inverse(p, P)
+    for the pseudo kind, and (2^n + 1)P - 1 for Clifford and MUB sets."""
+    n, d = ens.n, 2**ens.n
+    if ens.inverse_kind == "per-site-pauli":
+        factors = []
+        for q, w in enumerate(ens.local_factors[member]):
+            ket = _SITE[w].conj().T[:, (k >> (n - 1 - q)) & 1]
+            factors.append(3 * np.outer(ket, ket.conj()) - np.eye(2))
+        return kron_all(*factors)
+    ket = ens.members[member].conj().T[:, k]
+    proj = np.outer(ket, ket.conj())
+    if ens.inverse_kind == "pseudo":
+        return pseudo_inverse(ens.p, proj)
+    assert ens.inverse_kind == "global-depolarizing"
+    return (d + 1) * proj - np.eye(d)
+
+
+def reference_cells(ens, rho):
+    """Per-(member, outcome) probabilities, summing to 1, and the stack of
+    reference snapshots, one cell at a time."""
+    d = rho.dim
+    probs, snaps = [], []
+    for i, u in enumerate(ens.members):
+        p = np.clip(np.einsum("ki,ij,jk->k", u, rho.mat, u.conj().T).real, 0.0, None)
+        probs.append(p / p.sum() / ens.size)
+        snaps += [reference_snapshot(ens, i, k) for k in range(d)]
+    return np.concatenate(probs), np.array(snaps)
 
 
 @pytest.fixture

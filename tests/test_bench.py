@@ -11,8 +11,8 @@ from pqst.ensembles import clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_m_active
 from pqst.operators import expectation, parse_observable
 from pqst.qcore import born_table
-from pqst.shadow import CoverageError, _cell_snapshots, pattern_owners
-from conftest import random_density, random_hermitian
+from pqst.shadow import CoverageError, pattern_owners
+from conftest import random_density, random_hermitian, reference_cells
 
 PANELS = [("rho2", "O2X"), ("rho2", "O2NX"), ("rho2X", "O2"),
           ("rho3", "O3X"), ("rho3", "O3NX"), ("rho3X", "O3")]
@@ -99,7 +99,7 @@ def test_mse_single_shot_self_consistency():
 
 
 def _snapshot_values(ens, state, o):
-    return np.einsum("ij,cji->c", o, _cell_snapshots(ens, state)[1]).real
+    return np.einsum("ij,cji->c", o, reference_cells(ens, state)[1]).real
 
 
 def _born_table_values(ens, o):
@@ -142,7 +142,7 @@ def test_merged_models_keep_mean_and_variance(state_name, obs_name):
         models = measurement_models(state, obs, method)
         assert [m.ensemble_name for m in models] == [ens.name for ens, _ in owned]
         for model, (ens, terms) in zip(models, owned):
-            probs = _cell_snapshots(ens, state)[0]
+            probs = reference_cells(ens, state)[0]
             values = _snapshot_values(ens, state, sum(t.matrix() for t in terms))
             mean, merged_mean = probs @ values, model.probs @ model.values
             var = probs @ values**2 - mean**2

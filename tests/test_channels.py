@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from pqst import channels
-from pqst.channels import (ChannelError, depolarizing_channel,
-                           depolarizing_inverse, forward_channel_exact,
-                           per_site_inverse_channel_exact,
-                           per_site_pauli_inverse, pseudo_inverse)
+from pqst.channels import (ChannelError, apply_inverse, depolarizing_channel,
+                           forward_channel_exact,
+                           per_site_inverse_channel_exact, pseudo_inverse)
 from pqst.ensembles import (clifford_ensemble, enumerate_clifford_group,
                             mub_ensemble, pauli_local_ensemble,
-                            UnitaryEnsemble, zeta_x)
+                            UnitaryEnsemble, zeta_m_active, zeta_x)
 from conftest import random_density
 
 
@@ -22,8 +21,26 @@ def test_pseudo_inverse_linear_form(rng):
 def test_depolarizing_inverse_inverts_channel(rng):
     for n in (1, 2, 3):
         a = random_density(n, rng).mat
-        assert np.abs(depolarizing_inverse(n, depolarizing_channel(n, a)) - a).max() < 1e-12
-        assert np.abs(depolarizing_channel(n, depolarizing_inverse(n, a)) - a).max() < 1e-12
+        ens = mub_ensemble(n)
+        assert ens.inverse_kind == "global-depolarizing"
+        assert np.abs(apply_inverse(ens, depolarizing_channel(n, a)) - a).max() < 1e-12
+        assert np.abs(depolarizing_channel(n, apply_inverse(ens, a)) - a).max() < 1e-12
+
+
+def _every_inverse_kind(n):
+    return [zeta_x(n), zeta_m_active(n, 1), pauli_local_ensemble(n), mub_ensemble(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_inverse_batched_equals_per_operator(n, rng):
+    d = 2**n
+    stack = rng.normal(size=(3, 2, d, d)) + 1j * rng.normal(size=(3, 2, d, d))
+    for ens in _every_inverse_kind(n):
+        batched = apply_inverse(ens, stack)
+        assert batched.shape == stack.shape
+        for i, j in np.ndindex(3, 2):
+            single = apply_inverse(ens, stack[i, j])
+            assert np.abs(batched[i, j] - single).max() < 1e-13, ens.name
 
 
 def test_forward_channel_trace_preserving(rng):
@@ -53,7 +70,7 @@ def test_pseudo_inverse_unbiased_at_full_p(rng):
     # but clifford/mub with the depolarizing inverse recover rho exactly
     rho = random_density(2, rng)
     for ens in (clifford_ensemble(2), mub_ensemble(2)):
-        est = depolarizing_inverse(2, forward_channel_exact(ens, rho))
+        est = apply_inverse(ens, forward_channel_exact(ens, rho))
         assert np.abs(est - rho.mat).max() < 1e-10
 
 
@@ -69,13 +86,20 @@ def test_clifford_closure_channel_is_depolarizing(rng):
                   - depolarizing_channel(2, rho.mat)).max() < 1e-10
 
 
-def test_per_site_pauli_inverse_factors():
+def test_per_site_pauli_inverse_factors(rng):
+    # on a product operator the per-site inverse is 3f - Tr(f) 1 on each factor
     f = np.array([[1, 0], [0, 0]], dtype=complex)
-    out = per_site_pauli_inverse([f, f])
     one = 3 * f - np.eye(2)
-    assert np.allclose(out, np.kron(one, one))
+    ens = pauli_local_ensemble(2)
+    assert np.allclose(apply_inverse(ens, np.kron(f, f)), np.kron(one, one))
+    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+    expected = np.kron(np.kron(3 * a - np.trace(a) * np.eye(2), 3 * b - np.trace(b) * np.eye(2)),
+                       3 * c - np.trace(c) * np.eye(2))
+    assert np.allclose(apply_inverse(pauli_local_ensemble(3), np.kron(np.kron(a, b), c)),
+                       expected)
+    unknown = UnitaryEnsemble("bogus", 2, (), None, "bogus", frozenset())
     with pytest.raises(ChannelError):
-        per_site_pauli_inverse([np.eye(4)])
+        apply_inverse(unknown, np.eye(4))
 
 
 def test_per_site_inverse_recovers_rho_for_pauli_set(rng):

@@ -145,6 +145,16 @@ def test_estimate_sampled_prints_stderr():
     assert "stderr:" in result.output
 
 
+@pytest.mark.parametrize("method", ["pqst", "pauli", "clifford", "mub"])
+def test_estimate_identity_observable_is_one_cell(method):
+    # every cell of 1 II has the same value, so one cell is drawn with probability 1
+    result = run("estimate", "--state", "rho2", "--obs", "1 II", "--method", method,
+                 "--shots", "1000", "--seed", "2")
+    assert result.exit_code == 0
+    assert "estimate: 1.0\n" in result.output
+    assert "stderr: 0.0\n" in result.output
+
+
 def test_estimate_malformed_observable_exit_2():
     result = run("estimate", "--state", "rho2", "--obs", "1 QQ",
                  "--method", "pqst", "--exact")
@@ -208,9 +218,51 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, monkeypatch, command, o
         for key, value in options.items():
             flag = "--" + key.replace("_", "-")
             args += [flag] if value is True else [flag, str(value)]
-    result = CliRunner().invoke(main, [command, *args])
+    _assert_one_error_line(CliRunner().invoke(main, [command, *args]), tmp_path)
+
+
+def _assert_one_error_line(result, tmp_path):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+
+
+_RECON = {"state": "rho2", "sets": "zeta-X,zeta-m:1"}
+_EST = {"state": "rho2", "obs": "O2X"}
+_BENCH = {"state": "rho2", "obs": "O2X", "output": "x.csv"}
+_BAD_CONFIG_TYPES = [
+    ("reconstruct", {**_RECON, "seed": 1, "shots": "abc"}),
+    ("reconstruct", {**_RECON, "seed": 1, "shots": 2.5}),
+    ("reconstruct", {**_RECON, "seed": "x", "shots": 10}),
+    ("reconstruct", {**_RECON, "seed": 1.5, "exact": True}),
+    ("reconstruct", {**_RECON, "exact": "false"}),
+    ("estimate", {**_EST, "seed": 1, "shots": "abc"}),
+    ("estimate", {**_EST, "seed": 1, "shots": True}),
+    ("estimate", {**_EST, "seed": "x", "shots": 10}),
+    ("estimate", {**_EST, "exact": "false"}),
+    ("estimate", {**_EST, "seed": 1, "shots": 10, "exact": 0}),
+    ("bench", {**_BENCH, "seed": "x"}),
+    ("bench", {**_BENCH, "seed": 1, "trials": "many"}),
+    ("bench", {**_BENCH, "seed": 1, "trials": 2.5}),
+]
+
+
+@pytest.mark.parametrize("command,options", _BAD_CONFIG_TYPES)
+def test_config_value_types_exit_2_with_one_error_line(tmp_path, monkeypatch, command,
+                                                       options):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(options))
+    _assert_one_error_line(CliRunner().invoke(main, [command, "--config", "cfg.json"]),
+                           tmp_path)
+
+
+def test_config_integer_text_and_boolean_exact(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_EST, "seed": "8", "shots": "2000", "exact": False}))
+    by_config = run("estimate", "--method", "pauli", "--config", str(cfg))
+    by_flags = run("estimate", "--state", "rho2", "--obs", "O2X", "--method", "pauli",
+                   "--shots", "2000", "--seed", "8")
+    assert by_config.exit_code == 0 and "sampled" in by_config.output
+    assert by_config.output == by_flags.output

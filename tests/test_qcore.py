@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pqst.qcore import (DensityMatrix, HADAMARD, HS, ID2, PHASE_S, QcoreError,
                         dag, entanglement_measure, fidelity, fidelity_with_clip,
-                        index_to_bits, jacobi_eigh, kron_all, load_density_matrix,
+                        jacobi_eigh, kron_all, load_density_matrix,
                         matrix_sqrt_psd, partial_trace, partial_transpose, purity,
                         save_density_matrix, spawn_rng, spectral_norm)
 from conftest import random_density, random_hermitian
@@ -16,16 +15,6 @@ def test_gate_constants_unitary():
     for u in (ID2, HADAMARD, PHASE_S, HS):
         assert np.abs(dag(u) @ u - ID2).max() < 1e-14
     assert np.allclose(HS, HADAMARD @ PHASE_S)
-
-
-@given(st.integers(min_value=1, max_value=4), st.data())
-def test_bits_round_trip(n, data):
-    k = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-    bits = index_to_bits(k, n)
-    assert len(bits) == n
-    assert sum(b << (n - 1 - j) for j, b in enumerate(bits)) == k
-    # qubit 1 is the most significant bit
-    assert bits[0] == k >> (n - 1)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16])

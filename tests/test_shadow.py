@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pqst.ensembles import (clifford_ensemble, mub_ensemble,
-                            pauli_local_ensemble, zeta_A, zeta_union, zeta_x)
+                            pauli_local_ensemble, zeta_A, zeta_m_active,
+                            zeta_union, zeta_x)
 from pqst.operators import activity_of_indices, expectation, parse_observable
 from pqst.qcore import spawn_rng
 from pqst.shadow import (CoverageError, combine_pses, ensemble_pse,
-                         estimate_observable, sampled_pse, snapshot)
-from conftest import random_density
+                         estimate_observable, sampled_pse)
+from conftest import random_density, reference_cells
 
 
 def test_snapshot_is_unbiased_over_cells(rng):
@@ -16,15 +19,51 @@ def test_snapshot_is_unbiased_over_cells(rng):
     rho = random_density(2, rng)
     for ens in (zeta_x(2), zeta_union(2, [{1}, {2}]), pauli_local_ensemble(2),
                 clifford_ensemble(2), mub_ensemble(2)):
-        d = rho.dim
-        mean = np.zeros((d, d), dtype=complex)
-        for i, u in enumerate(ens.members):
-            probs = np.einsum("ki,ij,jk->k", u, rho.mat, u.conj().T).real
-            for k in range(d):
-                mean += probs[k] * snapshot(ens, i, k)
-        mean /= ens.size
+        probs, snaps = reference_cells(ens, rho)
+        mean = np.tensordot(probs, snaps, axes=1)
         exact = ensemble_pse(rho, ens).estimate
         assert np.abs(mean - exact).max() < 1e-10
+
+
+def _every_set(n):
+    sets = [zeta_x(n)] + [zeta_m_active(n, m) for m in range(1, n + 1)]
+    sets += [zeta_A(n, set(a)) for r in range(1, n + 1)
+             for a in itertools.combinations(range(1, n + 1), r)]
+    sets.append(pauli_local_ensemble(n))
+    if n <= 3:
+        sets += [clifford_ensemble(n), mub_ensemble(n)]
+    return sets
+
+
+class _RecordingRng:
+    """Passes multinomial draws through to a generator and keeps the last one."""
+
+    def __init__(self, rng):
+        self.rng, self.pvals, self.counts = rng, None, None
+
+    def multinomial(self, shots, pvals):
+        self.pvals, self.counts = pvals, self.rng.multinomial(shots, pvals)
+        return self.counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_pse_matches_full_stack_formula(n):
+    # the per-member accumulation equals the whole (cells, d, d) snapshot stack
+    # contracted with the same counts
+    rng = np.random.default_rng(70 + n)
+    rho = random_density(n, rng)
+    shots = 5000
+    for ens in _every_set(n):
+        probs, snaps = reference_cells(ens, rho)
+        draw = _RecordingRng(spawn_rng(n, 0))
+        pse = sampled_pse(rho, ens, shots, draw)
+        assert np.abs(draw.pvals - probs / probs.sum()).max() < 1e-15, ens.name
+        counts = draw.counts
+        est = np.tensordot(counts, snaps, axes=1) / shots
+        second = np.tensordot(counts, np.abs(snaps)**2, axes=1) / shots
+        stderr = np.sqrt(np.clip(second - np.abs(est)**2, 0.0, None) / shots)
+        assert np.abs(pse.estimate - est).max() < 1e-12, ens.name
+        assert np.abs(pse.stderr - stderr).max() < 1e-12, ens.name
 
 
 def test_ensemble_pse_trusted_entries(rng):
