@@ -4,16 +4,15 @@ and the simulated diagonal-tomography reconstruction pipeline."""
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
 from .qcore import DensityMatrix, born_table, spawn_rng
 from .operators import Observable, PAULI_1Q, activity_support, \
     expectation, is_x_structured, parse_observable, pattern_qubits
-from .ensembles import UnitaryEnsemble, clifford_ensemble, mub_ensemble, \
-    pauli_local_ensemble, zeta_union, zeta_x
+from .ensembles import UnitaryEnsemble, parse_ensemble_spec, zeta_union, zeta_x
 from .channels import apply_inverse
 from .shadow import CoverageError, cell_probabilities, pattern_owners, reconstruct_state
 
@@ -32,13 +31,11 @@ class BenchError(ValueError):
 
 @dataclass
 class Fixture:
-    """A named reference state and/or observable with expected summary values."""
+    """A named reference state or observable."""
 
     name: str
     state: DensityMatrix | None = None
     observable: Observable | None = None
-    expected_norm: float | None = None
-    expected_metrics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -99,79 +96,63 @@ for _i, _z in ((0, 0.05 + 0.02j), (1, 0.04 + 0.03j), (2, 0.03 + 0.01j), (3, 0.06
     _RHO3X[_i, 7 - _i] = _z
     _RHO3X[7 - _i, _i] = _z.conjugate()
 
-_OBSERVABLE_SPECS = {
-    "O2X": ("8 ZZ; 2 XY; 3 XX; -10 IZ", 18.630),
-    "O2NX": ("7 XZ; 15 YZ; 12 ZX", 28.553),
-    "O2": ("8 ZY; 12 XZ; 3 XX; -10 IZ; 9 II", 34.061),
-    "O3X": ("2 IIZ; 4 XXX; 6 XYX; 8 YYX; 10 IZZ; 12 XXX", 34.819),
-    "O3NX": ("2 XZY; 4 YIY", 4.472),
-    "O3": ("5 XXX; 10 ZZZ; 7 XYY; -6 ZIZ; 6 YYY; 7 ZXX; -2 ZXI", 25.038),
-}
-
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
+_IZ, _IX, _IY = PAULI_1Q["Z"] / 2, PAULI_1Q["X"] / 2, PAULI_1Q["Y"] / 2
 
 
-def _product_ket(theta1, theta2):
-    a = math.cos(theta1) * _KET1 + math.sin(theta1) * _KET0
-    b = math.cos(theta2) * _KET1 + math.sin(theta2) * _KET0
-    return np.kron(a, b)
+def _product_state(theta1, theta2):
+    a = cos(theta1) * _KET1 + sin(theta1) * _KET0
+    b = cos(theta2) * _KET1 + sin(theta2) * _KET0
+    return DensityMatrix.from_statevector(np.kron(a, b))
 
 
-def _table2_states():
-    pi = math.pi
-    states = {}
-    states["table2-i"] = DensityMatrix.from_statevector(_product_ket(pi / 6, pi / 3))
-    states["table2-ii"] = DensityMatrix.from_statevector(_product_ket(pi / 8, pi / 12))
-    iz, ix, iy = PAULI_1Q["Z"] / 2, PAULI_1Q["X"] / 2, PAULI_1Q["Y"] / 2
+def _mixed_product(shrink, r1, r2):
+    """The product of the qubit states 1/2 - shrink r1 and 1/2 - shrink r2."""
     one = np.eye(2, dtype=complex)
-    r1 = math.cos(pi / 4) * iz - math.sin(pi / 4) * ix
-    r2 = math.cos(pi / 6) * iz - math.sin(pi / 6) * ix
-    states["table2-iii"] = DensityMatrix(np.kron(one / 2 - math.cos(pi / 4) * r1,
-                                                 one / 2 - math.cos(pi / 4) * r2))
-    r3 = math.cos(pi / 4) * iz + math.sin(pi / 4) * iy
-    r4 = math.cos(pi / 3) * iz + math.sin(pi / 3) * ix
-    states["table2-iv"] = DensityMatrix(np.kron(one / 2 - math.cos(pi / 6) * r3,
-                                                one / 2 - math.cos(pi / 6) * r4))
-    s6, c6 = math.sin(pi / 6), math.cos(pi / 6)
-    s12, c12 = math.sin(pi / 12), math.cos(pi / 12)
+    return DensityMatrix(np.kron(one / 2 - shrink * r1, one / 2 - shrink * r2))
+
+
+def _table2_v():
+    s6, c6 = sin(pi / 6), cos(pi / 6)
+    s12, c12 = sin(pi / 12), cos(pi / 12)
     eta_v = np.array([s6 * s12, s6 * c12, s12 * c6, -c6 * c12], dtype=complex)
-    states["table2-v"] = DensityMatrix.from_statevector(eta_v)
-    return states
+    return DensityMatrix.from_statevector(eta_v)
 
 
-_TABLE2_METRICS = {
-    "table2-i": {"purity": 1.0, "entanglement": 0.0},
-    "table2-ii": {"purity": 1.0, "entanglement": 0.0},
-    "table2-iii": {"purity": 0.5625, "entanglement": 0.0},
-    "table2-iv": {"purity": 0.765625, "entanglement": 0.0},
-    "table2-v": {"purity": 1.0, "entanglement": 0.2834},
+# State fixtures by name, each built on its own when it is loaded.
+_STATES = {
+    "rho2": lambda: DensityMatrix.relaxed(_RHO2),
+    "rho2X": lambda: DensityMatrix.relaxed(_RHO2X),
+    "rho3": lambda: DensityMatrix.relaxed(_RHO3),
+    "rho3X": lambda: DensityMatrix.relaxed(_RHO3X),
+    "table2-i": lambda: _product_state(pi / 6, pi / 3),
+    "table2-ii": lambda: _product_state(pi / 8, pi / 12),
+    "table2-iii": lambda: _mixed_product(cos(pi / 4), cos(pi / 4) * _IZ - sin(pi / 4) * _IX,
+                                         cos(pi / 6) * _IZ - sin(pi / 6) * _IX),
+    "table2-iv": lambda: _mixed_product(cos(pi / 6), cos(pi / 4) * _IZ + sin(pi / 4) * _IY,
+                                        cos(pi / 3) * _IZ + sin(pi / 3) * _IX),
+    "table2-v": _table2_v,
 }
 
-FIXTURE_NAMES = ("rho2", "rho2X", "rho3", "rho3X",
-                 "table2-i", "table2-ii", "table2-iii", "table2-iv", "table2-v",
-                 "O2X", "O2NX", "O2", "O3X", "O3NX", "O3")
+_OBSERVABLES = {
+    "O2X": "8 ZZ; 2 XY; 3 XX; -10 IZ",
+    "O2NX": "7 XZ; 15 YZ; 12 ZX",
+    "O2": "8 ZY; 12 XZ; 3 XX; -10 IZ; 9 II",
+    "O3X": "2 IIZ; 4 XXX; 6 XYX; 8 YYX; 10 IZZ; 12 XXX",
+    "O3NX": "2 XZY; 4 YIY",
+    "O3": "5 XXX; 10 ZZZ; 7 XYY; -6 ZIZ; 6 YYY; 7 ZXX; -2 ZXI",
+}
+
+FIXTURE_NAMES = tuple(_STATES) + tuple(_OBSERVABLES)
 
 
 def load_fixture(name: str) -> Fixture:
     """Look up a reference state or observable by catalogue name."""
-    if name == "rho2":
-        return Fixture(name, state=DensityMatrix.relaxed(_RHO2))
-    if name == "rho2X":
-        return Fixture(name, state=DensityMatrix.relaxed(_RHO2X))
-    if name == "rho3":
-        return Fixture(name, state=DensityMatrix.relaxed(_RHO3))
-    if name == "rho3X":
-        return Fixture(name, state=DensityMatrix.relaxed(_RHO3X))
-    if name.startswith("table2-"):
-        states = _table2_states()
-        if name in states:
-            return Fixture(name, state=states[name],
-                           expected_metrics=dict(_TABLE2_METRICS[name]))
-        raise BenchError(f"unknown fixture {name!r}")
-    if name in _OBSERVABLE_SPECS:
-        text, norm = _OBSERVABLE_SPECS[name]
-        return Fixture(name, observable=parse_observable(text), expected_norm=norm)
+    if name in _STATES:
+        return Fixture(name, state=_STATES[name]())
+    if name in _OBSERVABLES:
+        return Fixture(name, observable=parse_observable(_OBSERVABLES[name]))
     raise BenchError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
 
 
@@ -202,29 +183,24 @@ def pqst_auto_ensembles(obs: Observable) -> list[UnitaryEnsemble]:
             by_card.setdefault(mask.bit_count(), set()).add(mask)
     ensembles = []
     for card in sorted(by_card):
-        if card == n:
-            ensembles.append(zeta_x(n))
-        else:
-            # descending masks list equal-size qubit sets in lexicographic label
-            # order; it fixes the union's member order, and so the draws
-            masks = sorted(by_card[card], reverse=True)
-            ensembles.append(zeta_union(n, [pattern_qubits(m, n) for m in masks]))
+        # descending masks list equal-size qubit sets in lexicographic label
+        # order; it fixes the union's member order, and so the draws. The
+        # full-register class alone gives zeta_X.
+        masks = sorted(by_card[card], reverse=True)
+        ensembles.append(zeta_union(n, [pattern_qubits(m, n) for m in masks]))
     if 0 in patterns and not any(0 in e.trusted for e in ensembles):
         ensembles.append(zeta_x(n))
     return ensembles
 
 
-def _method_ensembles(method: str, obs: Observable) -> list[UnitaryEnsemble]:
-    n = obs.n
+def method_ensembles(method: str, obs: Observable) -> list[UnitaryEnsemble]:
+    """The measurement sets of one method: the PQST selection for 'pqst' and
+    'pqst-auto', else the one baseline ensemble of that spec name."""
     if method in ("pqst", "pqst-auto"):
         return pqst_auto_ensembles(obs)
-    if method == "pauli":
-        return [pauli_local_ensemble(n)]
-    if method == "clifford":
-        return [clifford_ensemble(n)]
-    if method == "mub":
-        return [mub_ensemble(n)]
-    raise BenchError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    if method not in METHODS:
+        raise BenchError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    return [parse_ensemble_spec(method, obs.n)]
 
 
 def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray,
@@ -246,7 +222,7 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
     """Build the merged cell models for one method; ensembles that own no term
     are dropped. The inverse maps are self-adjoint, so cell (U, k) has value
     Tr(O_part M^-1(U^dag|k><k|U)) = <k|U M^-1(O_part) U^dag|k>, a Born table."""
-    ensembles = _method_ensembles(method, obs)
+    ensembles = method_ensembles(method, obs)
     owners = pattern_owners([(e.name, e.trusted) for e in ensembles], obs.n, obs.terms)
     models = []
     for index, ens in enumerate(ensembles):
@@ -301,7 +277,7 @@ def mse_experiment(state: DensityMatrix, observable: Observable, method: str,
             for block, start in enumerate(range(0, trials, TRIAL_BLOCK))])
         errors = (estimates - true_value) ** 2
         mse = float(errors.mean())
-        stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        stderr = float(errors.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
         results.append(MseResult(method=method, shots=shots, trials=trials,
                                  mse=mse, stderr=stderr, true_value=true_value))
     return results

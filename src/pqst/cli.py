@@ -22,9 +22,9 @@ from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
 from .channels import ChannelError
 from .shadow import CoverageError, ensemble_pse, estimate_observable, \
     reconstruct_state
-from . import bench as bench_mod
-from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, \
-    bench_rows, draw_estimates, load_fixture, measurement_models, write_csv
+from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, FIXTURE_NAMES, \
+    bench_rows, draw_estimates, load_fixture, measurement_models, method_ensembles, \
+    write_csv
 from .golden import run_validation
 
 _USAGE_ERRORS = (EnsembleError, ObservableError, BenchError, CoverageError)
@@ -112,7 +112,7 @@ def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
     if source is None:
         _fail("a --state (fixture name or density-matrix JSON file) is required", 2)
     if Path(source).exists():
-        if source in bench_mod.FIXTURE_NAMES:
+        if source in FIXTURE_NAMES:
             _fail(f"--state {source!r} names both the file {Path(source).resolve()} and "
                   f"the fixture {source!r}; pass the file as ./{source} or rename it", 2)
         return Path(source).stem, load_density_matrix(source, relaxed=True)
@@ -125,8 +125,11 @@ def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
 def _resolve_observable(source: str, n: int | None = None) -> tuple[str, Observable]:
     if source is None:
         _fail("an --obs (fixture name or 'coeff WORD; ...' string) is required", 2)
-    if source in bench_mod._OBSERVABLE_SPECS:
-        return source, load_fixture(source).observable
+    if source in FIXTURE_NAMES:
+        fixture = load_fixture(source)
+        if fixture.observable is None:
+            raise BenchError(f"fixture {source!r} is a state, not an observable")
+        return source, fixture.observable
     obs = parse_observable(source, n)
     return format_observable(obs), obs
 
@@ -202,8 +205,7 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
             raise CoverageError("no per-qubit rotation X-structures this observable")
         u, rotated, assignment = found
         rot_mat = u @ rho.mat @ u.conj().T
-        rho = DensityMatrix((rot_mat + rot_mat.conj().T) / 2, herm_tol=1e-8,
-                            trace_tol=5e-3, eig_floor=-5e-3)
+        rho = DensityMatrix.relaxed((rot_mat + rot_mat.conj().T) / 2)
         obs = rotated
         models_method = "pqst"
         method_label = f"pqst-rotated (per-qubit {','.join(assignment)})"
@@ -212,7 +214,7 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
         method_label = method
 
     if exact:
-        ensembles = bench_mod._method_ensembles(models_method, obs)
+        ensembles = method_ensembles(models_method, obs)
         value = estimate_observable(obs, [ensemble_pse(rho, ens) for ens in ensembles])
         click.echo(f"method: {method_label} (exact)")
         click.echo(f"estimate: {value!r}")

@@ -73,9 +73,8 @@ def _mat_keys(stack: np.ndarray) -> list:
 _LOCAL = {"1": ID2, "H": HADAMARD, "HS": HS}
 
 
-def _word_members(n, words):
-    mats = tuple(kron_all(*(_LOCAL[w] for w in word)) for word in words)
-    return mats
+def _word_members(words):
+    return tuple(kron_all(*(_LOCAL[w] for w in word)) for word in words)
 
 
 def _zeta_words(n, subsets):
@@ -100,36 +99,27 @@ def _validate_subset(n, a):
 
 def zeta_A(n: int, a) -> UnitaryEnsemble:
     """Identity plus all {H,HS} words on the qubits in A; p = 2^|A| + 1."""
-    a = _validate_subset(n, a)
-    words = _zeta_words(n, [a])
-    members = _word_members(n, words)
-    full = len(a) == n
-    name = "zeta-X" if full else "zeta-A:" + ",".join(map(str, sorted(a)))
-    trusted = {pattern_mask(a, n)} | ({0} if full else set())
-    return UnitaryEnsemble(
-        name=name, n=n, members=members, p=float(2 ** len(a) + 1),
-        inverse_kind="pseudo", trusted=frozenset(trusted), local_factors=tuple(words),
-    )
+    return zeta_union(n, [a])
 
 
 def zeta_union(n: int, subsets) -> UnitaryEnsemble:
-    """Union of equal-cardinality zeta_A sets; p = |union| (identity deduplicated)."""
+    """Identity plus every zeta_A word of equal-cardinality subsets; p = |members|.
+    A lone full-register subset is zeta_X, which also trusts the diagonal."""
     subsets = [_validate_subset(n, a) for a in subsets]
     if len(set(subsets)) != len(subsets):
         raise EnsembleError("union subsets must be distinct")
     if len({len(a) for a in subsets}) != 1:
         raise EnsembleError("union subsets must have equal cardinality")
-    if len(subsets) == 1:
-        return zeta_A(n, subsets[0])
-    words = []
-    for w in _zeta_words(n, subsets):
-        if w not in words:
-            words.append(w)
-    members = _word_members(n, words)
-    name = "|".join("zeta-A:" + ",".join(map(str, sorted(a))) for a in subsets)
+    words = _zeta_words(n, subsets)
+    trusted = {pattern_mask(a, n) for a in subsets}
+    if len(subsets[0]) == n:
+        name = "zeta-X"
+        trusted.add(0)
+    else:
+        name = "|".join("zeta-A:" + ",".join(map(str, sorted(a))) for a in subsets)
     return UnitaryEnsemble(
-        name=name, n=n, members=members, p=float(len(members)), inverse_kind="pseudo",
-        trusted=frozenset(pattern_mask(a, n) for a in subsets), local_factors=tuple(words),
+        name=name, n=n, members=_word_members(words), p=float(len(words)),
+        inverse_kind="pseudo", trusted=frozenset(trusted), local_factors=tuple(words),
     )
 
 
@@ -155,7 +145,7 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
         raise EnsembleError("pauli ensemble limited to n <= 4")
     words = list(itertools.product(("1", "H", "HS"), repeat=n))
     return UnitaryEnsemble(
-        name="pauli", n=n, members=_word_members(n, words), p=None,
+        name="pauli", n=n, members=_word_members(words), p=None,
         inverse_kind="per-site-pauli", trusted=frozenset(range(2**n)),
         local_factors=tuple(words),
     )

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .qcore import DensityMatrix, spawn_rng
+from .qcore import HADAMARD, HS, DensityMatrix, kron_all, spawn_rng
 from .ensembles import (enumerate_clifford_group, mub_ensemble, pauli_local_ensemble,
                         zeta_A, zeta_m_active, zeta_union, zeta_x, UnitaryEnsemble)
 from .channels import (depolarizing_channel, forward_channel_exact,
@@ -123,8 +123,8 @@ def check_closed_forms(seed: int = 20240, states: int = 100, tol: float = 1e-10)
     results = []
     worst = {"zeta_X vs closed form": 0.0, "zeta_1 vs closed form": 0.0,
              "zeta_1a vs closed form": 0.0, "zeta_1b vs closed form": 0.0}
-    hh = _single_word_ensemble(2, ("H", "H"))
-    hshs = _single_word_ensemble(2, ("HS", "HS"))
+    hh = _single_word_ensemble(("H", "H"), HADAMARD)
+    hshs = _single_word_ensemble(("HS", "HS"), HS)
     worst_hh = {p: 0.0 for p in (3, 5, 7)}
     worst_hshs = {p: 0.0 for p in (3, 5, 7)}
     for _ in range(states):
@@ -158,9 +158,9 @@ def check_closed_forms(seed: int = 20240, states: int = 100, tol: float = 1e-10)
     return results
 
 
-def _single_word_ensemble(n, word):
-    from .ensembles import _word_members
-    return UnitaryEnsemble("x".join(word), n, _word_members(n, [word]), None,
+def _single_word_ensemble(word, gate):
+    """The one-member 2-qubit pseudo ensemble {gate x gate}, named by its word."""
+    return UnitaryEnsemble("x".join(word), 2, (kron_all(gate, gate),), None,
                            "pseudo", frozenset(), local_factors=(word,))
 
 

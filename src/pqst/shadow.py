@@ -73,13 +73,18 @@ def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadow
 def pattern_owners(sets, n: int, terms=()) -> dict:
     """The index of the one set trusting each pattern, for (name, trusted) pairs.
     A pattern trusted by two sets, or a term whose pattern no set trusts, is a
-    CoverageError."""
+    CoverageError; two conflicting sets of one name are told apart by their
+    1-based positions."""
     owners = {}
     for index, (name, trusted) in enumerate(sets):
         for mask in sorted(trusted):
             if mask in owners:
+                first, second = sets[owners[mask]][0], name
+                if first == second:
+                    first += f" (set {owners[mask] + 1})"
+                    second += f" (set {index + 1})"
                 raise CoverageError(f"pattern {pattern_name(mask, n)} trusted by both "
-                                    f"{sets[owners[mask]][0]} and {name}")
+                                    f"{first} and {second}")
             owners[mask] = index
     orphans = [t for t in terms if t.activity not in owners]
     if orphans:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, METHODS,
-                        MseResult, _method_ensembles, bench_rows,
+                        MseResult, bench_rows, method_ensembles,
                         fit_scaling, load_fixture, measurement_models,
                         mse_experiment, nmr_pipeline_sim, pqst_auto_ensembles,
                         write_csv)
@@ -10,7 +10,7 @@ from pqst.channels import apply_inverse
 from pqst.ensembles import clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_m_active
 from pqst.operators import expectation, parse_observable
-from pqst.qcore import born_table
+from pqst.qcore import DensityMatrix, born_table
 from pqst.shadow import CoverageError, pattern_owners
 from conftest import random_density, random_hermitian, reference_cells
 
@@ -26,6 +26,33 @@ def test_all_fixture_names_load():
         load_fixture("rho5")
     with pytest.raises(BenchError):
         load_fixture("table2-vi")
+
+
+def test_fixture_names_in_catalogue_order():
+    assert FIXTURE_NAMES == ("rho2", "rho2X", "rho3", "rho3X", "table2-i", "table2-ii",
+                             "table2-iii", "table2-iv", "table2-v",
+                             "O2X", "O2NX", "O2", "O3X", "O3NX", "O3")
+
+
+@pytest.mark.parametrize("name", ["rho5", "table2-vi", "O4", ""])
+def test_unknown_fixture_names_share_one_message(name):
+    with pytest.raises(BenchError) as err:
+        load_fixture(name)
+    assert str(err.value) == f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}"
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n.startswith("table2-")])
+def test_table2_fixture_builds_only_its_own_state(name, monkeypatch):
+    built = []
+    init = DensityMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting_init)
+    assert load_fixture(name).state is not None
+    assert len(built) == 1
 
 
 def test_rho2x_entries_as_printed():
@@ -134,7 +161,7 @@ def test_merged_models_keep_mean_and_variance(state_name, obs_name):
     state = load_fixture(state_name).state
     obs = load_fixture(obs_name).observable
     for method in METHODS:
-        ensembles = _method_ensembles(method, obs)
+        ensembles = method_ensembles(method, obs)
         owners = pattern_owners([(e.name, e.trusted) for e in ensembles], obs.n, obs.terms)
         owned = [(ens, [t for t in obs.terms if owners[t.activity] == index])
                  for index, ens in enumerate(ensembles)]

@@ -229,6 +229,28 @@ def _assert_one_error_line(result, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("n,sets", [(2, "zeta-X,zeta-A:1,2"), (1, "zeta-A:1,zeta-X")])
+def test_same_name_conflict_gives_set_positions(tmp_path, monkeypatch, rng, n, sets):
+    monkeypatch.chdir(tmp_path)
+    save_density_matrix(tmp_path / "state.json", random_density(n, rng))
+    result = CliRunner().invoke(main, ["reconstruct", "--state", "state.json",
+                                       "--sets", sets, "--exact"])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr == ("error: pattern diagonal trusted by both zeta-X (set 1) "
+                             "and zeta-X (set 2)\n")
+
+
+@pytest.mark.parametrize("state,obs,message", [
+    ("rho2", "rho2", "error: fixture 'rho2' is a state, not an observable\n"),
+    ("O2X", "O2X", "error: fixture 'O2X' is an observable, not a state\n"),
+], ids=["obs-names-a-state", "state-names-an-observable"])
+def test_fixture_of_the_wrong_kind_exit_2(tmp_path, monkeypatch, state, obs, message):
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["estimate", "--state", state, "--obs", obs, "--exact"])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr == message
+
+
 _RECON = {"state": "rho2", "sets": "zeta-X,zeta-m:1"}
 _EST = {"state": "rho2", "obs": "O2X"}
 _BENCH = {"state": "rho2", "obs": "O2X", "output": "x.csv"}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -38,6 +39,28 @@ def test_zeta_A_sizes_and_p():
                 diagonal = {0} if r == n else set()
                 assert ens.trusted == {pattern_mask(a, n)} | diagonal
                 assert all(is_unitary(m) for m in ens.members)
+
+
+def test_zeta_A_is_the_one_subset_union():
+    for n in (1, 2, 3, 4):
+        for r in range(1, n + 1):
+            for a in itertools.combinations(range(1, n + 1), r):
+                single, union = zeta_A(n, a), zeta_union(n, [a])
+                for field in dataclasses.fields(single):
+                    if field.name == "members":
+                        assert np.array_equal(np.stack(single.members), np.stack(union.members))
+                    else:
+                        assert getattr(single, field.name) == getattr(union, field.name)
+
+
+def test_union_words_are_distinct():
+    for n in (1, 2, 3, 4):
+        for r in range(1, n + 1):
+            same = list(itertools.combinations(range(1, n + 1), r))
+            for k in range(1, len(same) + 1):
+                for subsets in itertools.combinations(same, k):
+                    ens = zeta_union(n, subsets)
+                    assert len(set(ens.local_factors)) == ens.size == ens.p
 
 
 def test_zeta_x_is_full_register():
