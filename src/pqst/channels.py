@@ -70,11 +70,3 @@ def apply_inverse(ensemble: UnitaryEnsemble, a) -> np.ndarray:
         return ensemble.p * a - traces * np.eye(a.shape[-1])
     raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
 
-
-def per_site_inverse_channel_exact(ensemble: UnitaryEnsemble, rho) -> np.ndarray:
-    """Exact average of the per-site depolarizing inverse over an explicit local
-    ensemble with Born weights. Recovers rho for the full Pauli set; applied to
-    zeta_X it demonstrably fails to reproduce the trusted elements."""
-    if ensemble.local_factors is None:
-        raise ChannelError(f"ensemble {ensemble.name} has no per-site structure")
-    return _per_site_inverse_map(ensemble.n, forward_channel_exact(ensemble, rho))

@@ -77,6 +77,13 @@ def _integer(key: str, value):
     _fail(f"{key} must be an integer, got {value!r}", 2)
 
 
+def _seed(seed):
+    """A seed, which SeedSequence takes only when it is >= 0; None when unset."""
+    if seed is not None and seed < 0:
+        _fail(f"--seed must be >= 0, got {seed}", 2)
+    return seed
+
+
 def _merge(config: dict, **flags):
     """Explicit CLI flags win; config file fills unset options."""
     out = {}
@@ -84,6 +91,7 @@ def _merge(config: dict, **flags):
         out[key] = config.get(key) if value is None else value
         if key in ("shots", "seed", "trials"):
             out[key] = _integer(key, out[key])
+    _seed(out.get("seed"))
     return out
 
 
@@ -260,6 +268,8 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_pat
         _fail(f"--shots-grid must be comma-separated integers, got {opts['shots_grid']!r}", 2)
     n_trials = DEFAULT_TRIALS if opts["trials"] is None else opts["trials"]
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
+    if not method_list or len(set(method_list)) < len(method_list):
+        _fail(f"--methods must name one or more methods, each once, got {methods!r}", 2)
     rows = bench_rows(state_name, rho, obs_name, obs, method_list, grid,
                       n_trials, run_seed)
     write_csv(opts["output"], rows)
@@ -272,7 +282,7 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_pat
 @_guarded
 def validate(seed):
     """Run the golden closed-form and structural checks; nonzero exit on failure."""
-    results = run_validation(seed)
+    results = run_validation(_seed(seed))
     failures = 0
     for label, passed, resid in results:
         status = "PASS" if passed else "FAIL"

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .qcore import HADAMARD, HS, ID2, kron_all
+from .qcore import HADAMARD, HS, ID2, MAX_QUBITS, PHASE_S, kron_all
 from .operators import PAULI_1Q, pattern_mask, pattern_qubits
 
 
@@ -167,12 +167,11 @@ def enumerate_clifford_group(n: int) -> tuple:
     phase-canonical products by the bytes of their rounded entries.
     """
     if n == 1:
-        gens = [HADAMARD, np.diag([1, 1j]).astype(complex)]
+        gens = [HADAMARD, PHASE_S]
     elif n == 2:
-        s = np.diag([1, 1j]).astype(complex)
         # CNOT control = qubit 1 (most significant bit)
         gens = [kron_all(HADAMARD, ID2), kron_all(ID2, HADAMARD),
-                kron_all(s, ID2), kron_all(ID2, s), _CNOT]
+                kron_all(PHASE_S, ID2), kron_all(ID2, PHASE_S), _CNOT]
     else:
         raise EnsembleError("closure enumeration supported only for n <= 2")
     d = 2**n
@@ -338,37 +337,30 @@ def _integers(text: str, spec: str) -> list[int]:
         raise EnsembleError(f"ensemble spec {spec!r}: {text!r} is not a list of integers") from None
 
 
-def _parse_single(spec: str, n: int):
-    spec = spec.strip()
-    if spec == "zeta-X":
-        return zeta_x(n)
-    if spec.startswith("zeta-A:"):
-        return zeta_A(n, _integers(spec[len("zeta-A:"):], spec))
-    if spec.startswith("zeta-m:"):
-        m = _integers(spec[len("zeta-m:"):], spec)
-        if len(m) != 1:
-            raise EnsembleError(f"ensemble spec {spec!r}: zeta-m takes one integer m")
-        return zeta_m_active(n, m[0])
-    if spec == "pauli":
-        return pauli_local_ensemble(n)
-    if spec == "clifford":
-        return clifford_ensemble(n)
-    if spec == "mub":
-        return mub_ensemble(n)
-    raise EnsembleError(f"unknown ensemble spec {spec!r}")
-
-
 def parse_ensemble_spec(spec: str, n: int) -> UnitaryEnsemble:
-    """One ensemble spec; '|' joins zeta-A parts into a union."""
-    if "|" in spec:
-        parts = []
-        for part in spec.split("|"):
-            part = part.strip()
-            if not part.startswith("zeta-A:"):
-                raise EnsembleError(f"union parts must be zeta-A specs, got {part!r}")
-            parts.append(frozenset(_integers(part[len("zeta-A:"):], part)))
-        return zeta_union(n, parts)
-    return _parse_single(spec, n)
+    """One ensemble spec on n qubits: a name, 'zeta-m:m', or zeta-A parts joined
+    by '|' into a union (a lone 'zeta-A:...' is a one-part union)."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise EnsembleError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    # the ensembles named by their spec alone; built per call, so that it holds
+    # the module's current bindings (perfbench's tracer rebinds them)
+    named = {"zeta-X": zeta_x, "pauli": pauli_local_ensemble,
+             "clifford": clifford_ensemble, "mub": mub_ensemble}
+    parts = [part.strip() for part in spec.split("|")]
+    if len(parts) == 1 and parts[0] in named:
+        return named[parts[0]](n)
+    if len(parts) == 1 and parts[0].startswith("zeta-m:"):
+        m = _integers(parts[0][len("zeta-m:"):], parts[0])
+        if len(m) != 1:
+            raise EnsembleError(f"ensemble spec {parts[0]!r}: zeta-m takes one integer m")
+        return zeta_m_active(n, m[0])
+    subsets = []
+    for part in parts:
+        if not part.startswith("zeta-A:"):
+            raise EnsembleError(f"union parts must be zeta-A specs, got {part!r}"
+                                if len(parts) > 1 else f"unknown ensemble spec {part!r}")
+        subsets.append(_integers(part[len("zeta-A:"):], part))
+    return zeta_union(n, subsets)
 
 
 def parse_ensemble_list(text: str, n: int) -> list:

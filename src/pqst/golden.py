@@ -9,15 +9,17 @@ before being frozen here, so they can serve as an oracle for the channel path.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 import numpy as np
 
 from .qcore import HADAMARD, HS, DensityMatrix, kron_all, spawn_rng
 from .ensembles import (enumerate_clifford_group, mub_ensemble, pauli_local_ensemble,
                         zeta_A, zeta_m_active, zeta_union, zeta_x, UnitaryEnsemble)
-from .channels import (depolarizing_channel, forward_channel_exact,
-                       per_site_inverse_channel_exact, pseudo_inverse)
+from .channels import apply_inverse, depolarizing_channel, forward_channel_exact, \
+    pseudo_inverse
 from .operators import activity_of_indices
+from .shadow import ensemble_pse
 
 
 def golden_rho_x(rho: np.ndarray) -> np.ndarray:
@@ -116,46 +118,34 @@ def _max_resid(a, b) -> float:
 
 
 def check_closed_forms(seed: int = 20240, states: int = 100, tol: float = 1e-10):
-    """Exact-mode PSEs vs the closed-form golden constructors."""
-    rng = spawn_rng(seed, 0)
-    zx, z1 = zeta_x(2), zeta_union(2, [{1}, {2}])
-    z1a, z1b = zeta_A(2, {1}), zeta_A(2, {2})
-    results = []
-    worst = {"zeta_X vs closed form": 0.0, "zeta_1 vs closed form": 0.0,
-             "zeta_1a vs closed form": 0.0, "zeta_1b vs closed form": 0.0}
+    """Exact-mode PSEs vs the closed-form golden constructors: the worst
+    residual of each case over `states` random 2-qubit states."""
     hh = _single_word_ensemble(("H", "H"), HADAMARD)
     hshs = _single_word_ensemble(("HS", "HS"), HS)
-    worst_hh = {p: 0.0 for p in (3, 5, 7)}
-    worst_hshs = {p: 0.0 for p in (3, 5, 7)}
+    # (label, ensemble, p, closed form). A zeta set's closed form is its PSE; a
+    # one-word channel's is B, with the PSE -1 + (p/4) B at each p.
+    cases = [(f"{label} vs closed form", ens, ens.p, closed_form)
+             for label, ens, closed_form in (
+                 ("zeta_X", zeta_x(2), golden_rho_x),
+                 ("zeta_1", zeta_union(2, [{1}, {2}]), golden_rho_1),
+                 ("zeta_1a", zeta_A(2, {1}), golden_rho_1a),
+                 ("zeta_1b", zeta_A(2, {2}), golden_rho_1b))]
+    cases += [(f"{ens.name} channel vs {b_name} (p={p})", ens, p, closed_form)
+              for p in (3, 5, 7)
+              for ens, b_name, closed_form in ((hh, "B_H", golden_b_h),
+                                               (hshs, "B_HS", golden_b_hs))]
+    sets = {ens.name: ens for _, ens, _, _ in cases}
+    rng = spawn_rng(seed, 0)
+    worst = [0.0] * len(cases)
     for _ in range(states):
         rho = random_density_matrix(2, rng)
-        worst["zeta_X vs closed form"] = max(
-            worst["zeta_X vs closed form"],
-            _max_resid(_exact_estimate(zx, rho), golden_rho_x(rho.mat)))
-        worst["zeta_1 vs closed form"] = max(
-            worst["zeta_1 vs closed form"],
-            _max_resid(_exact_estimate(z1, rho), golden_rho_1(rho.mat)))
-        worst["zeta_1a vs closed form"] = max(
-            worst["zeta_1a vs closed form"],
-            _max_resid(_exact_estimate(z1a, rho), golden_rho_1a(rho.mat)))
-        worst["zeta_1b vs closed form"] = max(
-            worst["zeta_1b vs closed form"],
-            _max_resid(_exact_estimate(z1b, rho), golden_rho_1b(rho.mat)))
-        fwd_hh = forward_channel_exact(hh, rho)
-        fwd_hshs = forward_channel_exact(hshs, rho)
-        for p in (3, 5, 7):
-            worst_hh[p] = max(worst_hh[p], _max_resid(
-                pseudo_inverse(p, fwd_hh),
-                -np.eye(4) + (p / 4) * golden_b_h(rho.mat)))
-            worst_hshs[p] = max(worst_hshs[p], _max_resid(
-                pseudo_inverse(p, fwd_hshs),
-                -np.eye(4) + (p / 4) * golden_b_hs(rho.mat)))
-    for label, resid in worst.items():
-        results.append((label, resid <= tol, resid))
-    for p in (3, 5, 7):
-        results.append((f"HxH channel vs B_H (p={p})", worst_hh[p] <= tol, worst_hh[p]))
-        results.append((f"HSxHS channel vs B_HS (p={p})", worst_hshs[p] <= tol, worst_hshs[p]))
-    return results
+        forward = {name: forward_channel_exact(ens, rho) for name, ens in sets.items()}
+        for i, (_, ens, p, closed_form) in enumerate(cases):
+            expected = closed_form(rho.mat)
+            if ens.p is None:
+                expected = pseudo_inverse(p / 4, expected)
+            worst[i] = max(worst[i], _max_resid(pseudo_inverse(p, forward[ens.name]), expected))
+    return [(label, resid <= tol, resid) for (label, *_), resid in zip(cases, worst)]
 
 
 def _single_word_ensemble(word, gate):
@@ -171,11 +161,9 @@ def check_generalized_protocol(seed: int = 20241, states: int = 20, tol: float =
     for n in (2, 3):
         ensembles = []
         qubits = list(range(1, n + 1))
-        singles = {}
         for r in range(1, n + 1):
             for a in itertools.combinations(qubits, r):
                 ens = zeta_A(n, a)
-                singles[frozenset(a)] = ens
                 ok_size = ens.size == 2**r + 1 and ens.p == 2**r + 1
                 results.append((f"n={n} |zeta_A({','.join(map(str, a))})| = 2^|A|+1",
                                 ok_size, 0.0 if ok_size else 1.0))
@@ -186,7 +174,6 @@ def check_generalized_protocol(seed: int = 20241, states: int = 20, tol: float =
                     ensembles.append(zeta_union(n, combo))
         for m in range(1, n + 1):
             ens = zeta_m_active(n, m)
-            from math import comb
             ok = ens.size == comb(n, m) * 2**m + 1 and ens.p == ens.size
             results.append((f"n={n} |zeta_m={m}| = C(n,m)2^m+1", ok, 0.0 if ok else 1.0))
         rng = spawn_rng(seed, n)
@@ -218,22 +205,22 @@ def check_baseline_channels(seed: int = 20242, tol: float = 1e-10):
     results.append(("n=2 MUB channel = depolarizing", resid <= tol, resid))
     for n in (1, 2, 3):
         rho = random_density_matrix(n, rng)
-        resid = _max_resid(per_site_inverse_channel_exact(pauli_local_ensemble(n), rho),
-                           rho.mat)
+        resid = _max_resid(ensemble_pse(rho, pauli_local_ensemble(n)).estimate, rho.mat)
         results.append((f"n={n} full Pauli set + per-site inverse recovers rho",
                         resid <= tol, resid))
     return results
 
 
 def check_negative_control(seed: int = 20243, states: int = 10):
-    """Per-site inverse used with zeta_X must NOT recover the trusted entries."""
+    """The Pauli set's per-site inverse applied to zeta_X's channel must NOT
+    recover the trusted entries."""
     rng = spawn_rng(seed, 0)
-    zx = zeta_x(2)
+    zx, pauli = zeta_x(2), pauli_local_ensemble(2)
     trusted = np.isin(activity_of_indices(2), list(zx.trusted))
     worst = 0.0
     for _ in range(states):
         rho = random_density_matrix(2, rng)
-        est = per_site_inverse_channel_exact(zx, rho)
+        est = apply_inverse(pauli, forward_channel_exact(zx, rho))
         worst = max(worst, _max_resid(est[trusted], rho.mat[trusted]))
     return [("per-site inverse with zeta_X fails (max trusted residual > 0.01)",
              worst > 0.01, worst)]

@@ -202,6 +202,10 @@ _BAD_VALUES = [
     ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": 1, "shots": -3}),
     ("estimate", {"state": "rho2", "obs": "O2X", "seed": 1, "shots": 0}),
     ("estimate", {"state": "rho2", "obs": "O2X", "seed": 1, "shots": -5}),
+    ("estimate", {"state": "rho2", "obs": "O2X", "seed": -1, "shots": 10}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": -3, "shots": 10}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": -3, "exact": True}),
+    ("bench", {"state": "rho2", "obs": "O2X", "seed": -2, "output": "x.csv"}),
 ]
 
 
@@ -288,3 +292,29 @@ def test_config_integer_text_and_boolean_exact(tmp_path):
                    "--shots", "2000", "--seed", "8")
     assert by_config.exit_code == 0 and "sampled" in by_config.output
     assert by_config.output == by_flags.output
+
+
+def test_validate_negative_seed_exit_2(tmp_path):
+    result = CliRunner().invoke(main, ["validate", "--seed", "-1"])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr == "error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("spec,n", [("zeta-X", 5), ("zeta-m:1", 5), ("pauli", 5),
+                                    ("mub", 0), ("zeta-X", 0), ("zeta-A:1", -1)])
+def test_ensemble_info_n_out_of_range_exit_2(tmp_path, spec, n):
+    result = CliRunner().invoke(main, ["ensemble-info", "--ensemble", spec, "--n", str(n)])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr == f"error: n must be in 1..4, got {n}\n"
+
+
+@pytest.mark.parametrize("methods", ["", " , ", "pauli,pauli", "mub, pauli,mub"],
+                         ids=["empty", "only-commas", "repeated", "repeated-spaced"])
+def test_bench_methods_empty_or_repeated_exit_2(tmp_path, monkeypatch, methods):
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["bench", "--state", "rho2", "--obs", "O2X",
+                                       "--methods", methods, "--trials", "5",
+                                       "--seed", "1", "--output", "x.csv"])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr == ("error: --methods must name one or more methods, each once, "
+                             f"got {methods!r}\n")

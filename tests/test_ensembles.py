@@ -159,6 +159,65 @@ def test_parse_ensemble_specs():
         parse_ensemble_spec("zeta-X|zeta-A:1", 2)
 
 
+# (spec, n, name and size of the parsed set, or the EnsembleError text)
+_SPEC_GRAMMAR = [
+    ("zeta-X", 2, ("zeta-X", 5)),
+    (" zeta-X ", 3, ("zeta-X", 9)),
+    ("pauli", 2, ("pauli", 9)),
+    ("clifford", 3, ("clifford", 135)),
+    ("mub", 1, ("mub", 3)),
+    ("zeta-A:2", 2, ("zeta-A:2", 3)),
+    ("zeta-A:1,3", 3, ("zeta-A:1,3", 5)),
+    ("zeta-A:3,1", 3, ("zeta-A:1,3", 5)),
+    ("zeta-A:1,2", 2, ("zeta-X", 5)),
+    ("zeta-m:1", 3, ("zeta-m:1", 7)),
+    ("zeta-m:2", 3, ("zeta-m:2", 13)),
+    ("zeta-m:3", 3, ("zeta-X", 9)),
+    ("zeta-A:1|zeta-A:2", 2, ("zeta-A:1|zeta-A:2", 5)),
+    ("zeta-A:1|zeta-A:2|zeta-A:3", 3, ("zeta-A:1|zeta-A:2|zeta-A:3", 7)),
+    ("zeta-A:1,2 | zeta-A:3,4", 4, ("zeta-A:1,2|zeta-A:3,4", 9)),
+    ("zeta-A:1,2,3|zeta-A:2,3,4", 4, ("zeta-A:1,2,3|zeta-A:2,3,4", 17)),
+    ("", 2, "unknown ensemble spec ''"),
+    ("bogus", 2, "unknown ensemble spec 'bogus'"),
+    ("zeta-x", 2, "unknown ensemble spec 'zeta-x'"),
+    ("zeta-A", 2, "unknown ensemble spec 'zeta-A'"),
+    ("zeta-A:", 2, "empty active set A is rejected; use zeta-X for diagonal readout"),
+    ("zeta-A:x", 2, "ensemble spec 'zeta-A:x': 'x' is not a list of integers"),
+    ("zeta-A:0", 2, "active set [0] outside qubits 1..2"),
+    ("zeta-A:3", 2, "active set [3] outside qubits 1..2"),
+    ("zeta-m:0", 2, "m must be in 1..2"),
+    ("zeta-m:3", 2, "m must be in 1..2"),
+    ("zeta-m:1,2", 2, "ensemble spec 'zeta-m:1,2': zeta-m takes one integer m"),
+    ("zeta-m:x", 2, "ensemble spec 'zeta-m:x': 'x' is not a list of integers"),
+    ("zeta-m:", 2, "ensemble spec 'zeta-m:': zeta-m takes one integer m"),
+    ("zeta-X|zeta-A:1", 2, "union parts must be zeta-A specs, got 'zeta-X'"),
+    ("zeta-A:1|zeta-X", 2, "union parts must be zeta-A specs, got 'zeta-X'"),
+    ("zeta-A:1|", 2, "union parts must be zeta-A specs, got ''"),
+    ("pauli|zeta-A:1", 2, "union parts must be zeta-A specs, got 'pauli'"),
+    ("zeta-A:1|zeta-A:1", 2, "union subsets must be distinct"),
+    ("zeta-A:1|zeta-A:1,2", 2, "union subsets must have equal cardinality"),
+    ("zeta-A:1|zeta-A:b", 2, "ensemble spec 'zeta-A:b': 'b' is not a list of integers"),
+    ("clifford", 4, "clifford ensemble supported only for n <= 3"),
+    ("mub", 4, "MUB ensemble supported only for n <= 3"),
+    ("zeta-X", 0, "n must be in 1..4, got 0"),
+    ("mub", 0, "n must be in 1..4, got 0"),
+    ("zeta-X", 5, "n must be in 1..4, got 5"),
+    ("zeta-m:1", 5, "n must be in 1..4, got 5"),
+    ("bogus", 5, "n must be in 1..4, got 5"),
+]
+
+
+@pytest.mark.parametrize("spec,n,expected", _SPEC_GRAMMAR)
+def test_spec_grammar(spec, n, expected):
+    if isinstance(expected, str):
+        with pytest.raises(EnsembleError) as err:
+            parse_ensemble_spec(spec, n)
+        assert str(err.value) == expected
+    else:
+        ens = parse_ensemble_spec(spec, n)
+        assert (ens.name, ens.size) == expected
+
+
 def test_parse_ensemble_list_reattaches_digits():
     sets = parse_ensemble_list("zeta-X,zeta-A:1,3,zeta-m:1", 3)
     assert [e.name for e in sets] == ["zeta-X", "zeta-A:1,3", "zeta-m:1"]
