@@ -10,8 +10,8 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from .qcore import DensityMatrix, born_table, spawn_rng
-from .operators import Observable, PAULI_1Q, activity_support, \
-    expectation, is_x_structured, parse_observable, pattern_qubits
+from .operators import Observable, PAULI_1Q, activity_support, expectation, \
+    parse_observable, pattern_qubits
 from .ensembles import UnitaryEnsemble, parse_ensemble_spec, zeta_union, zeta_x
 from .channels import apply_inverse
 from .shadow import CoverageError, cell_probabilities, pattern_owners, reconstruct_state
@@ -122,10 +122,10 @@ def _table2_v():
 
 # State fixtures by name, each built on its own when it is loaded.
 _STATES = {
-    "rho2": lambda: DensityMatrix.relaxed(_RHO2),
-    "rho2X": lambda: DensityMatrix.relaxed(_RHO2X),
-    "rho3": lambda: DensityMatrix.relaxed(_RHO3),
-    "rho3X": lambda: DensityMatrix.relaxed(_RHO3X),
+    "rho2": lambda: DensityMatrix(_RHO2, relaxed=True),
+    "rho2X": lambda: DensityMatrix(_RHO2X, relaxed=True),
+    "rho3": lambda: DensityMatrix(_RHO3, relaxed=True),
+    "rho3X": lambda: DensityMatrix(_RHO3X, relaxed=True),
     "table2-i": lambda: _product_state(pi / 6, pi / 3),
     "table2-ii": lambda: _product_state(pi / 8, pi / 12),
     "table2-iii": lambda: _mixed_product(cos(pi / 4), cos(pi / 4) * _IZ - sin(pi / 4) * _IX,
@@ -164,18 +164,16 @@ def load_fixture(name: str) -> Fixture:
 
 @dataclass
 class MeasurementModel:
-    ensemble_name: str
+    ensemble: UnitaryEnsemble
     probs: np.ndarray   # flat cell probabilities, sums to 1
     values: np.ndarray  # flat cell values of the owned observable part
 
 
 def pqst_auto_ensembles(obs: Observable) -> list[UnitaryEnsemble]:
-    """Minimal PQST set selection: zeta_X for X-structured observables, else
-    one equal-cardinality union per active-pattern cardinality class (the
-    full-register class and the diagonal are served by zeta_X)."""
+    """Minimal PQST set selection: one equal-cardinality union per active-pattern
+    cardinality class, plus zeta_X for an untrusted diagonal. The full-register
+    class alone is zeta_X, so an X-structured observable gets zeta_X only."""
     n = obs.n
-    if is_x_structured(obs):
-        return [zeta_x(n)]
     patterns = activity_support(obs)
     by_card = {}
     for mask in patterns:
@@ -184,8 +182,7 @@ def pqst_auto_ensembles(obs: Observable) -> list[UnitaryEnsemble]:
     ensembles = []
     for card in sorted(by_card):
         # descending masks list equal-size qubit sets in lexicographic label
-        # order; it fixes the union's member order, and so the draws. The
-        # full-register class alone gives zeta_X.
+        # order; it fixes the union's member order, and so the draws
         masks = sorted(by_card[card], reverse=True)
         ensembles.append(zeta_union(n, [pattern_qubits(m, n) for m in masks]))
     if 0 in patterns and not any(0 in e.trusted for e in ensembles):
@@ -203,7 +200,7 @@ def method_ensembles(method: str, obs: Observable) -> list[UnitaryEnsemble]:
     return [parse_ensemble_spec(method, obs.n)]
 
 
-def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray,
+def _merge_cells(ens: UnitaryEnsemble, probs: np.ndarray, values: np.ndarray,
                  part: np.ndarray) -> MeasurementModel:
     """Merge cells whose values agree to 1e-9; each group keeps its summed
     probability and its probability-weighted mean value, so sum p v is exact.
@@ -211,11 +208,11 @@ def _merge_cells(name: str, probs: np.ndarray, values: np.ndarray,
     outcomes sum to Tr(part), and it is drawn with probability 1."""
     keys, group = np.unique(np.round(values, 9), return_inverse=True)
     if keys.size == 1:
-        return MeasurementModel(name, np.ones(1), np.trace(part).real[None] / len(part))
+        return MeasurementModel(ens, np.ones(1), np.trace(part).real[None] / len(part))
     p = np.bincount(group, weights=probs)
     pv = np.bincount(group, weights=probs * values)
     keep = p > 0
-    return MeasurementModel(name, p[keep], pv[keep] / p[keep])
+    return MeasurementModel(ens, p[keep], pv[keep] / p[keep])
 
 
 def measurement_models(state: DensityMatrix, obs: Observable, method: str):
@@ -223,7 +220,7 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
     are dropped. The inverse maps are self-adjoint, so cell (U, k) has value
     Tr(O_part M^-1(U^dag|k><k|U)) = <k|U M^-1(O_part) U^dag|k>, a Born table."""
     ensembles = method_ensembles(method, obs)
-    owners = pattern_owners([(e.name, e.trusted) for e in ensembles], obs.n, obs.terms)
+    owners = pattern_owners(ensembles, obs.terms)
     models = []
     for index, ens in enumerate(ensembles):
         terms = [t for t in obs.terms if owners[t.activity] == index]
@@ -232,7 +229,7 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
         probs = (cell_probabilities(ens, state) / ens.size).ravel()
         part = apply_inverse(ens, sum(t.matrix() for t in terms))
         values = born_table(np.stack(ens.members), part).real.ravel()
-        models.append(_merge_cells(ens.name, probs / probs.sum(), values, part))
+        models.append(_merge_cells(ens, probs / probs.sum(), values, part))
     if not models:
         raise CoverageError("no measurement model owns any observable term")
     return models

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import click
 
-from .qcore import DensityMatrix, QcoreError, load_density_matrix, spawn_rng
+from .qcore import DensityMatrix, QcoreError, StateFileError, load_density_matrix, spawn_rng
 from .operators import Observable, ObservableError, format_observable, \
     parse_observable, rotate_to_x_structure
 from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
@@ -27,7 +27,7 @@ from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, FIXTURE_NAMES,
     write_csv
 from .golden import run_validation
 
-_USAGE_ERRORS = (EnsembleError, ObservableError, BenchError, CoverageError)
+_USAGE_ERRORS = (EnsembleError, ObservableError, BenchError, CoverageError, StateFileError)
 _NUMERICAL_ERRORS = (QcoreError, ChannelError)
 
 
@@ -130,7 +130,7 @@ def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
     return source, fixture.state
 
 
-def _resolve_observable(source: str, n: int | None = None) -> tuple[str, Observable]:
+def _resolve_observable(source: str, n: int) -> tuple[str, Observable]:
     if source is None:
         _fail("an --obs (fixture name or 'coeff WORD; ...' string) is required", 2)
     if source in FIXTURE_NAMES:
@@ -213,7 +213,7 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
             raise CoverageError("no per-qubit rotation X-structures this observable")
         u, rotated, assignment = found
         rot_mat = u @ rho.mat @ u.conj().T
-        rho = DensityMatrix.relaxed((rot_mat + rot_mat.conj().T) / 2)
+        rho = DensityMatrix((rot_mat + rot_mat.conj().T) / 2, relaxed=True)
         obs = rotated
         models_method = "pqst"
         method_label = f"pqst-rotated (per-qubit {','.join(assignment)})"
@@ -266,9 +266,12 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_pat
             tuple(int(s) for s in str(opts["shots_grid"]).split(","))
     except ValueError:
         _fail(f"--shots-grid must be comma-separated integers, got {opts['shots_grid']!r}", 2)
+    if len(set(grid)) < len(grid):
+        _fail(f"--shots-grid must name each budget once, got {opts['shots_grid']!r}", 2)
     n_trials = DEFAULT_TRIALS if opts["trials"] is None else opts["trials"]
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
-    if not method_list or len(set(method_list)) < len(method_list):
+    selections = {"pqst-auto" if m == "pqst" else m for m in method_list}  # pqst = pqst-auto
+    if not method_list or len(selections) < len(method_list):
         _fail(f"--methods must name one or more methods, each once, got {methods!r}", 2)
     rows = bench_rows(state_name, rho, obs_name, obs, method_list, grid,
                       n_trials, run_seed)

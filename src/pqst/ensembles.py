@@ -51,12 +51,12 @@ class UnitaryEnsemble:
 
 # ---------------------------------------------------------------------------
 # Phase canonicalization: scale each matrix of a stack so its first entry
-# (row-major) above tol is real positive. Shadows are phase-invariant, so
-# dedup works on these forms.
+# (row-major) above 1e-9 in modulus is real positive. Shadows are
+# phase-invariant, so dedup works on these forms.
 
-def canonical_phase(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def canonical_phase(stack: np.ndarray) -> np.ndarray:
     flat = stack.reshape(len(stack), -1)
-    z = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > tol, axis=1)]
+    z = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
     return stack * (np.abs(z) / z)[:, None, None]
 
 

@@ -179,13 +179,13 @@ def rotate_to_x_structure(obs: Observable):
     return None
 
 
-def expectation(obs, mat, imag_tol: float = 1e-8) -> float:
-    """Re Tr(O M); complains if the imaginary residual is large."""
+def expectation(obs, mat) -> float:
+    """Re Tr(O M); complains if the imaginary residual exceeds 1e-8 max(1, |Re|)."""
     o = obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex)
     mat = np.asarray(mat, dtype=complex)
     if o.shape != mat.shape:
         raise ObservableError("expectation arguments have mismatched dimensions")
     val = complex(np.trace(o @ mat))
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ObservableError(f"expectation has imaginary residual {val.imag:.2e}")
     return val.real

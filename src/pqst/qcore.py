@@ -105,17 +105,23 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Density matrices.
+# Density matrices. Validation tolerances (Hermiticity, trace, eigenvalue
+# floor): strict by default; relaxed for fixture matrices transcribed from
+# printed 4-decimal data, which can miss trace 1 / PSD at the 1e-3 level.
+
+STRICT_TOLERANCES = (1e-10, 1e-10, -1e-9)
+RELAXED_TOLERANCES = (1e-8, 5e-3, -5e-3)
+
+
+class StateFileError(QcoreError):
+    """A density-matrix file that is not a well-formed {n_qubits, re, im} document."""
+
 
 class DensityMatrix:
-    """Validated density operator: Hermitian, unit trace, PSD within tolerance.
+    """Validated density operator: Hermitian, unit trace, PSD within tolerance."""
 
-    The relaxed tolerances exist for fixture matrices transcribed from printed
-    4-decimal data, which can miss trace 1 / PSD at the 1e-3 level.
-    """
-
-    def __init__(self, mat, herm_tol: float = 1e-10, trace_tol: float = 1e-10,
-                 eig_floor: float = -1e-9):
+    def __init__(self, mat, relaxed: bool = False):
+        herm_tol, trace_tol, eig_floor = RELAXED_TOLERANCES if relaxed else STRICT_TOLERANCES
         mat = np.asarray(mat, dtype=complex)
         self.n = num_qubits(mat)
         _check_finite(mat, "density matrix")
@@ -132,10 +138,6 @@ class DensityMatrix:
         self.validation_residuals = {
             "hermiticity": herm_resid, "trace": trace_resid, "min_eigenvalue": min_eig,
         }
-
-    @classmethod
-    def relaxed(cls, mat) -> "DensityMatrix":
-        return cls(mat, herm_tol=1e-8, trace_tol=5e-3, eig_floor=-5e-3)
 
     @classmethod
     def from_statevector(cls, psi) -> "DensityMatrix":
@@ -248,16 +250,23 @@ def save_density_matrix(path, rho: DensityMatrix) -> None:
 
 
 def load_density_matrix(path, relaxed: bool = False) -> DensityMatrix:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a density matrix file. A file that is not such a document raises
+    StateFileError; a matrix that fails validation raises QcoreError."""
     try:
-        n = int(doc["n_qubits"])
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise QcoreError(f"malformed density matrix file {path}: {exc}") from exc
-    d = 2**n
-    if re.size != d * d or im.size != d * d:
-        raise QcoreError(f"density matrix file {path} has wrong entry count")
-    mat = (re + 1j * im).reshape(d, d)
-    return DensityMatrix.relaxed(mat) if relaxed else DensityMatrix(mat)
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or not {"n_qubits", "re", "im"} <= doc.keys():
+            raise ValueError("expected an object with keys n_qubits, re and im")
+        n = doc["n_qubits"]
+        if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+        re = np.asarray(doc["re"], dtype=float).ravel()
+        im = np.asarray(doc["im"], dtype=float).ravel()
+        if re.size != 4**n or im.size != 4**n:
+            raise ValueError(f"re and im must hold {4**n} entries each, "
+                             f"got {re.size} and {im.size}")
+        if not np.all(np.isfinite(re + im)):
+            raise ValueError("entries must be finite numbers")
+    except (TypeError, ValueError) as exc:
+        raise StateFileError(f"malformed density matrix file {path}: {exc}") from None
+    return DensityMatrix((re + 1j * im).reshape(2**n, 2**n), relaxed)

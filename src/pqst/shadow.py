@@ -23,11 +23,8 @@ class PartialShadowEstimator:
     """A density-matrix estimate trusted only on its ensemble's patterns."""
 
     estimate: np.ndarray
-    ensemble_name: str
-    p: float | None
+    ensemble: UnitaryEnsemble
     shots: int  # 0 = exact ensemble mode
-    trusted: frozenset
-    n: int
     stderr: np.ndarray | None = None
 
 
@@ -56,34 +53,30 @@ def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
         second += np.tensordot(f, snaps.real**2 + snaps.imag**2, axes=1)
     # per-entry standard error from the cell-count second moments
     var = second - (first.real**2 + first.imag**2)
-    return PartialShadowEstimator(
-        estimate=first, ensemble_name=ensemble.name, p=ensemble.p, shots=shots,
-        trusted=ensemble.trusted, n=ensemble.n,
-        stderr=np.sqrt(np.clip(var, 0.0, None) / shots))
+    return PartialShadowEstimator(first, ensemble, shots,
+                                  np.sqrt(np.clip(var, 0.0, None) / shots))
 
 
 def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadowEstimator:
     """Exact PSE from Born probabilities (diagonal-tomography mode, no sampling)."""
-    est = apply_inverse(ensemble, forward_channel_exact(ensemble, rho))
     return PartialShadowEstimator(
-        estimate=est, ensemble_name=ensemble.name, p=ensemble.p, shots=0,
-        trusted=ensemble.trusted, n=ensemble.n)
+        apply_inverse(ensemble, forward_channel_exact(ensemble, rho)), ensemble, 0)
 
 
-def pattern_owners(sets, n: int, terms=()) -> dict:
-    """The index of the one set trusting each pattern, for (name, trusted) pairs.
-    A pattern trusted by two sets, or a term whose pattern no set trusts, is a
+def pattern_owners(sets, terms=()) -> dict:
+    """The index of the one ensemble in `sets` trusting each pattern. A pattern
+    trusted by two sets, or a term whose pattern no set trusts, is a
     CoverageError; two conflicting sets of one name are told apart by their
     1-based positions."""
     owners = {}
-    for index, (name, trusted) in enumerate(sets):
-        for mask in sorted(trusted):
+    for index, ens in enumerate(sets):
+        for mask in sorted(ens.trusted):
             if mask in owners:
-                first, second = sets[owners[mask]][0], name
+                first, second = sets[owners[mask]].name, ens.name
                 if first == second:
                     first += f" (set {owners[mask] + 1})"
                     second += f" (set {index + 1})"
-                raise CoverageError(f"pattern {pattern_name(mask, n)} trusted by both "
+                raise CoverageError(f"pattern {pattern_name(mask, ens.n)} trusted by both "
                                     f"{first} and {second}")
             owners[mask] = index
     orphans = [t for t in terms if t.activity not in owners]
@@ -93,17 +86,13 @@ def pattern_owners(sets, n: int, terms=()) -> dict:
     return owners
 
 
-def _pse_owners(pses, terms=()) -> dict:
-    return pattern_owners([(p.ensemble_name, p.trusted) for p in pses], pses[0].n, terms)
-
-
 def combine_pses(pses) -> np.ndarray:
     """Assemble a full density-matrix estimate, one owner per element class."""
     pses = list(pses)
     if not pses:
         raise CoverageError("no PSEs given")
-    n = pses[0].n
-    owners = _pse_owners(pses)
+    n = pses[0].ensemble.n
+    owners = pattern_owners([p.ensemble for p in pses])
     masks = activity_of_indices(n)
     missing = sorted(set(range(2**n)) - owners.keys(), key=lambda m: pattern_qubits(m, n))
     if missing:
@@ -118,29 +107,28 @@ def combine_pses(pses) -> np.ndarray:
 
 def estimate_observable(obs: Observable, pses) -> float:
     """Tr(O rho_hat) with each Pauli term read off the PSE trusting its pattern."""
-    owners = _pse_owners(pses, obs.terms)
+    owners = pattern_owners([p.ensemble for p in pses], obs.terms)
     return sum(expectation(t.matrix(), pses[owners[t.activity]].estimate) for t in obs.terms)
 
 
 def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,
-                          reference: DensityMatrix | None = None) -> dict:
+                          reference: DensityMatrix) -> dict:
     """Structured reconstruction report: estimate, trusted flags, fidelity."""
-    n = pses[0].n
-    owned = np.isin(activity_of_indices(n), list(_pse_owners(pses)))
-    report = {
-        "n_qubits": n,
+    owned = np.isin(activity_of_indices(reference.n),
+                    list(pattern_owners([p.ensemble for p in pses])))
+    f, clipped = fidelity_with_clip(reference, (estimate + dag(estimate)) / 2)
+    return {
+        "n_qubits": reference.n,
         "estimate_re": [[float(x) for x in row] for row in estimate.real],
         "estimate_im": [[float(x) for x in row] for row in estimate.imag],
         "trusted": owned.tolist(),
-        "sets": [{"name": p.ensemble_name, "p": p.p, "shots": p.shots} for p in pses],
+        "sets": [{"name": p.ensemble.name, "p": p.ensemble.p, "shots": p.shots}
+                 for p in pses],
         "shots_per_set": shots_per_set,
         "seed": seed,
+        "fidelity_vs_reference": float(f),
+        "fidelity_clipped_mass": float(clipped),
     }
-    if reference is not None:
-        f, clipped = fidelity_with_clip(reference, (estimate + dag(estimate)) / 2)
-        report["fidelity_vs_reference"] = float(f)
-        report["fidelity_clipped_mass"] = float(clipped)
-    return report
 
 
 def reconstruct_state(rho: DensityMatrix, ensembles, shots: int | None = None,

@@ -162,12 +162,12 @@ def test_merged_models_keep_mean_and_variance(state_name, obs_name):
     obs = load_fixture(obs_name).observable
     for method in METHODS:
         ensembles = method_ensembles(method, obs)
-        owners = pattern_owners([(e.name, e.trusted) for e in ensembles], obs.n, obs.terms)
+        owners = pattern_owners(ensembles, obs.terms)
         owned = [(ens, [t for t in obs.terms if owners[t.activity] == index])
                  for index, ens in enumerate(ensembles)]
         owned = [(ens, terms) for ens, terms in owned if terms]
         models = measurement_models(state, obs, method)
-        assert [m.ensemble_name for m in models] == [ens.name for ens, _ in owned]
+        assert [m.ensemble.name for m in models] == [ens.name for ens, _ in owned]
         for model, (ens, terms) in zip(models, owned):
             probs = reference_cells(ens, state)[0]
             values = _snapshot_values(ens, state, sum(t.matrix() for t in terms))
@@ -213,10 +213,10 @@ def test_coverage_error_names_patterns():
     # force a configuration with no owner for the single-active pattern
     from pqst.ensembles import zeta_A, zeta_x
     with pytest.raises(CoverageError) as err:
-        pattern_owners([("zeta-X", zeta_x(2).trusted)], 2, obs.terms)
+        pattern_owners([zeta_x(2)], obs.terms)
     assert "XI" in str(err.value)
     with pytest.raises(CoverageError) as err:
-        pattern_owners([(e.name, e.trusted) for e in (zeta_A(2, {1}), zeta_m_active(2, 1))], 2)
+        pattern_owners([zeta_A(2, {1}), zeta_m_active(2, 1)])
     assert str(err.value) == "pattern {1} trusted by both zeta-A:1 and zeta-m:1"
 
 

@@ -206,6 +206,10 @@ _BAD_VALUES = [
     ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": -3, "shots": 10}),
     ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": -3, "exact": True}),
     ("bench", {"state": "rho2", "obs": "O2X", "seed": -2, "output": "x.csv"}),
+    ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
+               "shots_grid": "100,100"}),
+    ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
+               "shots_grid": "100,1000,0100"}),
 ]
 
 
@@ -308,8 +312,10 @@ def test_ensemble_info_n_out_of_range_exit_2(tmp_path, spec, n):
     assert result.stderr == f"error: n must be in 1..4, got {n}\n"
 
 
-@pytest.mark.parametrize("methods", ["", " , ", "pauli,pauli", "mub, pauli,mub"],
-                         ids=["empty", "only-commas", "repeated", "repeated-spaced"])
+@pytest.mark.parametrize("methods", ["", " , ", "pauli,pauli", "mub, pauli,mub",
+                                     "pqst,pqst-auto"],
+                         ids=["empty", "only-commas", "repeated", "repeated-spaced",
+                              "pqst-is-pqst-auto"])
 def test_bench_methods_empty_or_repeated_exit_2(tmp_path, monkeypatch, methods):
     monkeypatch.chdir(tmp_path)
     result = CliRunner().invoke(main, ["bench", "--state", "rho2", "--obs", "O2X",
@@ -318,3 +324,42 @@ def test_bench_methods_empty_or_repeated_exit_2(tmp_path, monkeypatch, methods):
     _assert_one_error_line(result, tmp_path)
     assert result.stderr == ("error: --methods must name one or more methods, each once, "
                              f"got {methods!r}\n")
+
+
+_MALFORMED_STATE_FILES = {
+    "not-json": "{not json",
+    "not-utf8": "\xff\xfe{",
+    "non-numeric-entry": '{"n_qubits": 1, "re": [1, 0, 0, 0], "im": [0, 0, 0, "a"]}',
+    "null-entry": '{"n_qubits": 1, "re": [1, 0, 0, null], "im": [0, 0, 0, 0]}',
+    "wrong-entry-count": '{"n_qubits": 1, "re": [1, 0, 0], "im": [0, 0, 0, 0]}',
+    "missing-key": '{"n_qubits": 1, "re": [1, 0, 0, 0]}',
+    "not-an-object": "[1, 0, 0, 0]",
+    "n-qubits-5": '{"n_qubits": 5, "re": [], "im": []}',
+    "n-qubits-0": '{"n_qubits": 0, "re": [1], "im": [0]}',
+    "n-qubits-text": '{"n_qubits": "1", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+}
+
+
+@pytest.mark.parametrize("text", _MALFORMED_STATE_FILES.values(), ids=_MALFORMED_STATE_FILES)
+@pytest.mark.parametrize("command", [["reconstruct", "--sets", "zeta-X,zeta-m:1", "--exact"],
+                                     ["estimate", "--obs", "1 Z", "--exact"]],
+                         ids=["reconstruct", "estimate"])
+def test_malformed_state_file_exit_2(tmp_path, monkeypatch, text, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_text(text, encoding="latin-1")
+    result = CliRunner().invoke(main, [*command, "--state", "state.json"])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr.startswith("error: malformed density matrix file state.json: ")
+
+
+@pytest.mark.parametrize("re,message", [
+    ([1, 0, 0, 1], "error: density matrix trace differs from 1 by 1.00e+00\n"),
+    ([1.5, 0, 0, -0.5], "error: density matrix has eigenvalue -5.00e-01 below -5e-03\n"),
+], ids=["trace", "psd"])
+def test_invalid_state_file_matrix_exit_1(tmp_path, monkeypatch, re, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_text(json.dumps({"n_qubits": 1, "re": re,
+                                                     "im": [0, 0, 0, 0]}))
+    result = CliRunner().invoke(main, ["estimate", "--obs", "1 Z", "--exact",
+                                       "--state", "state.json"])
+    assert result.exit_code == 1 and result.stderr == message

@@ -1,10 +1,13 @@
-"""Property tests of the exact estimators over random states, n = 1..4."""
+"""Property tests of the exact estimators over random states, and of the PQST
+set selection over random observables, n = 1..4."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from pqst.bench import pqst_auto_ensembles
 from pqst.ensembles import zeta_A, zeta_m_active, zeta_union, zeta_x
-from pqst.operators import PauliString, activity_of_indices, pattern_qubits
+from pqst.operators import Observable, PauliString, activity_of_indices, is_x_structured, \
+    pattern_qubits
 from pqst.shadow import combine_pses, ensemble_pse
 from conftest import random_density
 
@@ -50,3 +53,25 @@ def test_word_mask_is_the_xy_positions(word):
     # the word's matrix is nonzero exactly on the elements of its pattern
     support = np.abs(PauliString(word).matrix()) > 0
     assert np.array_equal(support, activity_of_indices(n) == PauliString(word).activity)
+
+
+@st.composite
+def x_structured_observables(draw):
+    """Observables whose every term lies in {I,Z}^n or in {X,Y}^n."""
+    n = draw(sizes)
+    words = st.one_of(st.text(alphabet="IZ", min_size=n, max_size=n),
+                      st.text(alphabet="XY", min_size=n, max_size=n))
+    coeffs = st.floats(-10, 10, allow_nan=False)
+    return Observable([PauliString(w, c) for w, c in
+                       draw(st.lists(st.tuples(words, coeffs), min_size=1, max_size=6))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_structured_observables())
+def test_pqst_auto_gives_zeta_x_for_x_structured_observables(obs):
+    assert is_x_structured(obs)
+    [chosen] = pqst_auto_ensembles(obs)
+    expected = zeta_x(obs.n)
+    assert (chosen.name, chosen.p, chosen.trusted, chosen.local_factors) == \
+        (expected.name, expected.p, expected.trusted, expected.local_factors)
+    assert [m.tobytes() for m in chosen.members] == [m.tobytes() for m in expected.members]

@@ -66,7 +66,7 @@ def test_relaxed_validation_accepts_printed_precision():
     mat = np.diag([0.5005, 0.4998]).astype(complex)
     with pytest.raises(QcoreError):
         DensityMatrix(mat)
-    relaxed = DensityMatrix.relaxed(mat)
+    relaxed = DensityMatrix(mat, relaxed=True)
     assert relaxed.validation_residuals["trace"] == pytest.approx(3e-4, abs=1e-9)
 
 

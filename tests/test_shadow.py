@@ -69,10 +69,10 @@ def test_sampled_pse_matches_full_stack_formula(n):
 def test_ensemble_pse_trusted_entries(rng):
     rho = random_density(2, rng)
     pse = ensemble_pse(rho, zeta_A(2, {1}))
-    assert pse.shots == 0 and pse.p == 3
+    assert pse.shots == 0 and pse.ensemble.p == 3
     assert abs(pse.estimate[0, 2] - rho.mat[0, 2]) < 1e-12
     assert abs(pse.estimate[1, 3] - rho.mat[1, 3]) < 1e-12
-    assert pse.trusted == {0b10} and 0 not in pse.trusted
+    assert pse.ensemble.trusted == {0b10} and 0 not in pse.ensemble.trusted
 
 
 def test_sampled_pse_converges_and_is_deterministic(rng):
@@ -82,7 +82,7 @@ def test_sampled_pse_converges_and_is_deterministic(rng):
     pse2 = sampled_pse(rho, ens, 200_000, spawn_rng(42, 0))
     assert np.array_equal(pse1.estimate, pse2.estimate)
     exact = ensemble_pse(rho, ens).estimate
-    trusted = np.isin(activity_of_indices(2), list(pse1.trusted))
+    trusted = np.isin(activity_of_indices(2), list(pse1.ensemble.trusted))
     assert trusted.sum() == 8  # the diagonal and the anti-diagonal
     assert np.abs(pse1.estimate - exact)[trusted].max() < 0.02
     assert pse1.stderr is not None and pse1.stderr.min() >= 0
