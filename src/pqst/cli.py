@@ -133,13 +133,13 @@ def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
 def _resolve_observable(source: str, n: int) -> tuple[str, Observable]:
     if source is None:
         _fail("an --obs (fixture name or 'coeff WORD; ...' string) is required", 2)
-    if source in FIXTURE_NAMES:
-        fixture = load_fixture(source)
-        if fixture.observable is None:
-            raise BenchError(f"fixture {source!r} is a state, not an observable")
-        return source, fixture.observable
-    obs = parse_observable(source, n)
-    return format_observable(obs), obs
+    fixture = source in FIXTURE_NAMES
+    obs = load_fixture(source).observable if fixture else parse_observable(source)
+    if obs is None:
+        raise BenchError(f"fixture {source!r} is a state, not an observable")
+    if obs.n != n:
+        raise ObservableError(f"observable is on {obs.n} qubits, expected {n}")
+    return (source if fixture else format_observable(obs)), obs
 
 
 @click.group()

@@ -105,21 +105,23 @@ def random_density_matrix(n: int, rng) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def _exact_estimate(ensemble: UnitaryEnsemble, rho: DensityMatrix) -> np.ndarray:
-    return pseudo_inverse(ensemble.p, forward_channel_exact(ensemble, rho))
-
-
 # ---------------------------------------------------------------------------
 # The validation battery behind `pqst validate`. Each check returns
-# (label, passed, max residual).
+# (label, passed, max residual); an exactness check passes at residual <= TOL.
+
+TOL = 1e-10
+CLOSED_FORM_STATES = 100
+PROTOCOL_STATES = 20
+NEGATIVE_CONTROL_STATES = 10
+
 
 def _max_resid(a, b) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def check_closed_forms(seed: int = 20240, states: int = 100, tol: float = 1e-10):
+def check_closed_forms(seed: int):
     """Exact-mode PSEs vs the closed-form golden constructors: the worst
-    residual of each case over `states` random 2-qubit states."""
+    residual of each case over CLOSED_FORM_STATES random 2-qubit states."""
     hh = _single_word_ensemble(("H", "H"), HADAMARD)
     hshs = _single_word_ensemble(("HS", "HS"), HS)
     # (label, ensemble, p, closed form). A zeta set's closed form is its PSE; a
@@ -137,7 +139,7 @@ def check_closed_forms(seed: int = 20240, states: int = 100, tol: float = 1e-10)
     sets = {ens.name: ens for _, ens, _, _ in cases}
     rng = spawn_rng(seed, 0)
     worst = [0.0] * len(cases)
-    for _ in range(states):
+    for _ in range(CLOSED_FORM_STATES):
         rho = random_density_matrix(2, rng)
         forward = {name: forward_channel_exact(ens, rho) for name, ens in sets.items()}
         for i, (_, ens, p, closed_form) in enumerate(cases):
@@ -145,7 +147,7 @@ def check_closed_forms(seed: int = 20240, states: int = 100, tol: float = 1e-10)
             if ens.p is None:
                 expected = pseudo_inverse(p / 4, expected)
             worst[i] = max(worst[i], _max_resid(pseudo_inverse(p, forward[ens.name]), expected))
-    return [(label, resid <= tol, resid) for (label, *_), resid in zip(cases, worst)]
+    return [(label, resid <= TOL, resid) for (label, *_), resid in zip(cases, worst)]
 
 
 def _single_word_ensemble(word, gate):
@@ -154,7 +156,7 @@ def _single_word_ensemble(word, gate):
                            "pseudo", frozenset(), local_factors=(word,))
 
 
-def check_generalized_protocol(seed: int = 20241, states: int = 20, tol: float = 1e-10):
+def check_generalized_protocol(seed: int):
     """Set sizes, p values, and targeted-entry recovery for every zeta_A,
     equal-size union, and m-active set at n in {2, 3}."""
     results = []
@@ -177,17 +179,17 @@ def check_generalized_protocol(seed: int = 20241, states: int = 20, tol: float =
             ok = ens.size == comb(n, m) * 2**m + 1 and ens.p == ens.size
             results.append((f"n={n} |zeta_m={m}| = C(n,m)2^m+1", ok, 0.0 if ok else 1.0))
         rng = spawn_rng(seed, n)
-        states_list = [random_density_matrix(n, rng) for _ in range(states)]
+        states = [random_density_matrix(n, rng) for _ in range(PROTOCOL_STATES)]
         masks = activity_of_indices(n)
         for ens in ensembles:
             trusted = np.isin(masks, list(ens.trusted))
-            worst = max(_max_resid(_exact_estimate(ens, rho)[trusted], rho.mat[trusted])
-                        for rho in states_list)
-            results.append((f"n={n} {ens.name} targeted entries recovered", worst <= tol, worst))
+            worst = max(_max_resid(ensemble_pse(rho, ens).estimate[trusted], rho.mat[trusted])
+                        for rho in states)
+            results.append((f"n={n} {ens.name} targeted entries recovered", worst <= TOL, worst))
     return results
 
 
-def check_baseline_channels(seed: int = 20242, tol: float = 1e-10):
+def check_baseline_channels(seed: int):
     """Clifford-closure and MUB channels equal the depolarizing map; the full
     Pauli set with the per-site inverse reconstructs rho exactly."""
     results = []
@@ -199,26 +201,26 @@ def check_baseline_channels(seed: int = 20242, tol: float = 1e-10):
     resid = _max_resid(forward_channel_exact(cliff, rho2),
                        depolarizing_channel(2, rho2.mat))
     results.append(("n=2 Clifford closure channel = depolarizing map",
-                    resid <= tol, resid))
+                    resid <= TOL, resid))
     resid = _max_resid(forward_channel_exact(mub_ensemble(2), rho2),
                        depolarizing_channel(2, rho2.mat))
-    results.append(("n=2 MUB channel = depolarizing", resid <= tol, resid))
+    results.append(("n=2 MUB channel = depolarizing", resid <= TOL, resid))
     for n in (1, 2, 3):
         rho = random_density_matrix(n, rng)
         resid = _max_resid(ensemble_pse(rho, pauli_local_ensemble(n)).estimate, rho.mat)
         results.append((f"n={n} full Pauli set + per-site inverse recovers rho",
-                        resid <= tol, resid))
+                        resid <= TOL, resid))
     return results
 
 
-def check_negative_control(seed: int = 20243, states: int = 10):
+def check_negative_control(seed: int):
     """The Pauli set's per-site inverse applied to zeta_X's channel must NOT
     recover the trusted entries."""
     rng = spawn_rng(seed, 0)
     zx, pauli = zeta_x(2), pauli_local_ensemble(2)
     trusted = np.isin(activity_of_indices(2), list(zx.trusted))
     worst = 0.0
-    for _ in range(states):
+    for _ in range(NEGATIVE_CONTROL_STATES):
         rho = random_density_matrix(2, rng)
         est = apply_inverse(pauli, forward_channel_exact(zx, rho))
         worst = max(worst, _max_resid(est[trusted], rho.mat[trusted]))

@@ -72,7 +72,7 @@ class Observable:
         return f"Observable({format_observable(self)!r})"
 
 
-def parse_observable(text: str, n: int | None = None) -> Observable:
+def parse_observable(text: str) -> Observable:
     """Parse 'coeff WORD; coeff WORD; ...', e.g. '8 ZZ; 2 XY; 3 XX; -10 IZ'."""
     terms = []
     for pos, chunk in enumerate(text.split(";")):
@@ -86,10 +86,7 @@ def parse_observable(text: str, n: int | None = None) -> Observable:
         if not _WORD_RE.match(parts[1]):
             raise ObservableError(f"term {pos + 1}: bad Pauli word {parts[1]!r}")
         terms.append(PauliString(parts[1], coeff))
-    obs = Observable(terms)
-    if n is not None and obs.n != n:
-        raise ObservableError(f"observable is on {obs.n} qubits, expected {n}")
-    return obs
+    return Observable(terms)
 
 
 def format_observable(obs: Observable) -> str:

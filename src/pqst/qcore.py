@@ -94,10 +94,6 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     return jacobi_eigh(a)[0]
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    return float(np.abs(eigvalsh(a)).max())
-
-
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Square root of a Hermitian PSD matrix, clamping tiny negative eigenvalues."""
     w, v = jacobi_eigh(a)
@@ -159,16 +155,13 @@ def born_table(members, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Metrics.
 
-def purity(rho: DensityMatrix) -> float:
-    return float(np.trace(rho.mat @ rho.mat).real)
-
-
 def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 plus clipped mass.
 
     sigma may be any Hermitian matrix (finite-shot estimators can be
     non-physical); negative eigenvalues of sqrt(rho) sigma sqrt(rho) are
-    clamped to zero and their total magnitude is returned alongside.
+    clamped to zero and their total magnitude is returned alongside. That mass
+    misses any negative mass of sigma outside rho's support.
     """
     sig = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     if sig.shape != rho.mat.shape:
@@ -184,47 +177,6 @@ def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
 
 def fidelity(rho: DensityMatrix, sigma) -> float:
     return fidelity_with_clip(rho, sigma)[0]
-
-
-def partial_trace(mat: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all qubits not in `keep` (1-based qubit labels)."""
-    keep = tuple(sorted(keep))
-    axes = list(keep) + [q for q in range(1, n + 1) if q not in keep]
-    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
-    # move kept row/col axes to the front
-    perm = [q - 1 for q in axes] + [n + q - 1 for q in axes]
-    t = np.transpose(t, perm)
-    dk = 2 ** len(keep)
-    dr = 2 ** (n - len(keep))
-    t = t.reshape(dk, dr, dk, dr)
-    return np.einsum("arbr->ab", t)
-
-
-def partial_transpose(mat: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Transpose the listed qubits (1-based) of an n-qubit operator."""
-    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
-    perm = list(range(2 * n))
-    for q in qubits:
-        perm[q - 1], perm[n + q - 1] = perm[n + q - 1], perm[q - 1]
-    return np.transpose(t, perm).reshape(2**n, 2**n)
-
-
-def entanglement_measure(rho: DensityMatrix, partition: tuple[int, ...] = (1,)) -> float:
-    """Bipartite entanglement across `partition` | rest, base-2 logarithms.
-
-    Entanglement entropy of the reduced state for pure inputs, logarithmic
-    negativity via the partial transpose otherwise.
-    """
-    if not partition or not set(partition) < set(range(1, rho.n + 1)):
-        raise QcoreError("partition must be a proper nonempty subset of the qubits")
-    if purity(rho) > 1 - 1e-8:
-        red = partial_trace(rho.mat, rho.n, tuple(partition))
-        w = eigvalsh(red)
-        w = w[w > 1e-12]
-        return float(-(w * np.log2(w)).sum())
-    pt = partial_transpose(rho.mat, rho.n, tuple(partition))
-    trace_norm = float(np.abs(eigvalsh(pt)).sum())
-    return float(np.log2(trace_norm))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from pqst.channels import pseudo_inverse
-from pqst.qcore import HADAMARD, HS, ID2, DensityMatrix, kron_all
-
-
-def random_density(n, rng):
-    d = 2**n
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+from pqst.qcore import HADAMARD, HS, ID2, kron_all
 
 
 def random_hermitian(d, rng):

@@ -15,8 +15,7 @@ from pqst.ensembles import enumerate_clifford_group, zeta_m_active, zeta_union, 
 from pqst.golden import (check_baseline_channels, check_closed_forms,
                          check_generalized_protocol, check_negative_control,
                          random_density_matrix)
-from pqst.qcore import entanglement_measure, fidelity, purity, spawn_rng, \
-    spectral_norm
+from pqst.qcore import fidelity, spawn_rng
 from pqst.shadow import combine_pses, ensemble_pse, sampled_pse
 
 
@@ -31,7 +30,7 @@ def _all_pass(checks):
 
 def test_criterion_1_golden_closed_forms():
     t0 = time.perf_counter()
-    checks = check_closed_forms(seed=20240, states=100, tol=1e-10)
+    checks = check_closed_forms(seed=20240)
     elapsed = time.perf_counter() - t0
     _report(1, "golden closed forms (100 random states, <= 1e-10, < 5 s)",
             _all_pass(checks) and elapsed < 5)
@@ -39,7 +38,7 @@ def test_criterion_1_golden_closed_forms():
 
 def test_criterion_2_generalized_protocol():
     t0 = time.perf_counter()
-    checks = check_generalized_protocol(seed=20241, states=20, tol=1e-10)
+    checks = check_generalized_protocol(seed=20241)
     elapsed = time.perf_counter() - t0
     sizes_ok = (zeta_m_active(3, 2).size == 13
                 and zeta_m_active(3, 1).size == 7
@@ -72,11 +71,24 @@ def test_criterion_3_full_reconstruction():
 
 def test_criterion_4_baseline_channels():
     t0 = time.perf_counter()
-    checks = check_baseline_channels(seed=20242, tol=1e-10)
+    checks = check_baseline_channels(seed=20242)
     closure_ok = len(enumerate_clifford_group(2)) == 11520
     elapsed = time.perf_counter() - t0
     _report(4, "baseline channels: 11520-element closure, MUB, per-site Pauli "
                "inverse (< 1 min)", _all_pass(checks) and closure_ok and elapsed < 60)
+
+
+def _purity(name):
+    rho = load_fixture(name).state.mat
+    return np.trace(rho @ rho).real
+
+
+def _entanglement_entropy(name):
+    """Base-2 entropy of qubit 1's reduced state of a pure 2-qubit fixture."""
+    reduced = np.einsum("ajbj->ab", load_fixture(name).state.mat.reshape(2, 2, 2, 2))
+    w = np.linalg.eigvalsh(reduced)
+    w = w[w > 1e-12]
+    return -(w * np.log2(w)).sum()
 
 
 def test_criterion_5_fixtures():
@@ -84,12 +96,12 @@ def test_criterion_5_fixtures():
     ok = True
     for name, norm in (("O2X", 18.630), ("O2NX", 28.553), ("O2", 34.061),
                        ("O3X", 34.819), ("O3NX", 4.472), ("O3", 25.038)):
-        ok &= abs(spectral_norm(load_fixture(name).observable.matrix) - norm) <= 0.001
-    ok &= abs(purity(load_fixture("table2-iii").state) - 0.56) <= 0.005
-    ok &= abs(purity(load_fixture("table2-iv").state) - 0.765) <= 0.005
-    ok &= abs(entanglement_measure(load_fixture("table2-v").state) - 0.28) <= 0.01
+        ok &= abs(np.linalg.norm(load_fixture(name).observable.matrix, 2) - norm) <= 0.001
+    ok &= abs(_purity("table2-iii") - 0.56) <= 0.005
+    ok &= abs(_purity("table2-iv") - 0.765) <= 0.005
+    ok &= abs(_entanglement_entropy("table2-v") - 0.28) <= 0.01
     for k in ("i", "ii", "v"):
-        ok &= abs(purity(load_fixture(f"table2-{k}").state) - 1) <= 1e-8
+        ok &= abs(_purity(f"table2-{k}") - 1) <= 1e-8
     elapsed = time.perf_counter() - t0
     _report(5, "fixtures: six spectral norms +-0.001, prepared-state metrics (< 5 s)",
             ok and elapsed < 5)
@@ -130,6 +142,6 @@ def test_criterion_7_csv_determinism(tmp_path):
 
 
 def test_criterion_8_negative_control():
-    checks = check_negative_control(seed=20243, states=10)
+    checks = check_negative_control(seed=20243)
     _report(8, "negative control: per-site inverse with zeta_X misses trusted "
                "entries by > 0.01", _all_pass(checks))

@@ -12,7 +12,8 @@ from pqst.ensembles import clifford_ensemble, mub_ensemble, \
 from pqst.operators import expectation, parse_observable
 from pqst.qcore import DensityMatrix, born_table
 from pqst.shadow import CoverageError, pattern_owners
-from conftest import random_density, random_hermitian, reference_cells
+from pqst.golden import random_density_matrix
+from conftest import random_hermitian, reference_cells
 
 PANELS = [("rho2", "O2X"), ("rho2", "O2NX"), ("rho2X", "O2"),
           ("rho3", "O3X"), ("rho3", "O3NX"), ("rho3X", "O3")]
@@ -137,7 +138,7 @@ def _born_table_values(ens, o):
 def test_born_table_values_match_snapshots(n):
     # every inverse kind: pseudo (zeta sets), per-site (pauli), depolarizing
     rng = np.random.default_rng(40 + n)
-    state = random_density(n, rng)
+    state = random_density_matrix(n, rng)
     o = random_hermitian(2**n, rng)
     sets = [zeta_m_active(n, m) for m in range(1, n + 1)]
     sets += [pauli_local_ensemble(n), clifford_ensemble(n), mub_ensemble(n)]
@@ -148,7 +149,7 @@ def test_born_table_values_match_snapshots(n):
 
 def test_born_table_values_match_snapshots_n4():
     rng = np.random.default_rng(44)
-    state = random_density(4, rng)
+    state = random_density_matrix(4, rng)
     o = random_hermitian(16, rng)
     obs = parse_observable("2 XXYY; -1 ZIXI; 3 IZZI; 0.5 YIIX; 1 IIIZ")
     for ens in pqst_auto_ensembles(obs) + [pauli_local_ensemble(4)]:

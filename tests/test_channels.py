@@ -8,11 +8,11 @@ from pqst.ensembles import (clifford_ensemble, enumerate_clifford_group,
                             mub_ensemble, pauli_local_ensemble,
                             UnitaryEnsemble, zeta_m_active, zeta_x)
 from pqst.shadow import ensemble_pse
-from conftest import random_density
+from pqst.golden import random_density_matrix
 
 
 def test_pseudo_inverse_linear_form(rng):
-    a = random_density(2, rng).mat
+    a = random_density_matrix(2, rng).mat
     assert np.allclose(pseudo_inverse(5, a), 5 * a - np.eye(4))
     with pytest.raises(ChannelError):
         pseudo_inverse(0, a)
@@ -20,7 +20,7 @@ def test_pseudo_inverse_linear_form(rng):
 
 def test_depolarizing_inverse_inverts_channel(rng):
     for n in (1, 2, 3):
-        a = random_density(n, rng).mat
+        a = random_density_matrix(n, rng).mat
         ens = mub_ensemble(n)
         assert ens.inverse_kind == "global-depolarizing"
         assert np.abs(apply_inverse(ens, depolarizing_channel(n, a)) - a).max() < 1e-12
@@ -44,7 +44,7 @@ def test_apply_inverse_batched_equals_per_operator(n, rng):
 
 
 def test_forward_channel_trace_preserving(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     out = forward_channel_exact(zeta_x(2), rho)
     assert complex(np.trace(out)).real == pytest.approx(1.0, abs=1e-12)
     # channel output is diagonal-dominant mixing: Hermitian
@@ -57,7 +57,7 @@ def test_forward_channel_chunks_match_member_loop(rng):
     assert len(group) % channels._CHUNK != 0
     ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
                           frozenset(range(4)))
-    rho = random_density(2, rng).mat
+    rho = random_density_matrix(2, rng).mat
     loop = np.zeros((4, 4), dtype=complex)
     for u in group:
         ud = u.conj().T
@@ -68,14 +68,14 @@ def test_forward_channel_chunks_match_member_loop(rng):
 def test_pseudo_inverse_unbiased_at_full_p(rng):
     # the Pauli set with global pseudo-inverse p=2^n+1 is NOT the right inverse,
     # but clifford/mub with the depolarizing inverse recover rho exactly
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     for ens in (clifford_ensemble(2), mub_ensemble(2)):
         est = apply_inverse(ens, forward_channel_exact(ens, rho))
         assert np.abs(est - rho.mat).max() < 1e-10
 
 
 def test_clifford_closure_channel_is_depolarizing(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     group = enumerate_clifford_group(2)
     ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
                           frozenset(range(4)))
@@ -104,14 +104,14 @@ def test_per_site_pauli_inverse_factors(rng):
 
 def test_per_site_inverse_recovers_rho_for_pauli_set(rng):
     for n in (1, 2, 3):
-        rho = random_density(n, rng)
+        rho = random_density_matrix(n, rng)
         est = ensemble_pse(rho, pauli_local_ensemble(n)).estimate
         assert np.abs(est - rho.mat).max() < 1e-10
 
 
 def test_per_site_inverse_fails_for_zeta_x(rng):
     # negative control: the Pauli set's per-site inverse is wrong for the zeta_X set
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     est = apply_inverse(pauli_local_ensemble(2), forward_channel_exact(zeta_x(2), rho))
     trusted_resid = max(
         np.abs(np.diag(est) - np.diag(rho.mat)).max(),

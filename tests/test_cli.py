@@ -7,7 +7,7 @@ from pqst.bench import load_fixture
 from pqst.cli import main
 from pqst.operators import expectation, parse_observable
 from pqst.qcore import save_density_matrix
-from conftest import random_density
+from pqst.golden import random_density_matrix
 
 
 class _Result:
@@ -120,7 +120,7 @@ def test_estimate_rotated_matches_direct():
 
 
 def test_estimate_rotated_exact_matches_trace(tmp_path, rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     path = tmp_path / "state.json"
     save_density_matrix(path, rho)
     for text in ("1 ZX", "7 XZ; 15 YZ", "2 YY"):
@@ -240,7 +240,7 @@ def _assert_one_error_line(result, tmp_path):
 @pytest.mark.parametrize("n,sets", [(2, "zeta-X,zeta-A:1,2"), (1, "zeta-A:1,zeta-X")])
 def test_same_name_conflict_gives_set_positions(tmp_path, monkeypatch, rng, n, sets):
     monkeypatch.chdir(tmp_path)
-    save_density_matrix(tmp_path / "state.json", random_density(n, rng))
+    save_density_matrix(tmp_path / "state.json", random_density_matrix(n, rng))
     result = CliRunner().invoke(main, ["reconstruct", "--state", "state.json",
                                        "--sets", sets, "--exact"])
     _assert_one_error_line(result, tmp_path)
@@ -251,7 +251,11 @@ def test_same_name_conflict_gives_set_positions(tmp_path, monkeypatch, rng, n, s
 @pytest.mark.parametrize("state,obs,message", [
     ("rho2", "rho2", "error: fixture 'rho2' is a state, not an observable\n"),
     ("O2X", "O2X", "error: fixture 'O2X' is an observable, not a state\n"),
-], ids=["obs-names-a-state", "state-names-an-observable"])
+    ("rho2", "O3X", "error: observable is on 3 qubits, expected 2\n"),
+    ("rho3", "O2X", "error: observable is on 2 qubits, expected 3\n"),
+    ("rho3", "1 XX", "error: observable is on 2 qubits, expected 3\n"),
+], ids=["obs-names-a-state", "state-names-an-observable", "obs-wider-than-state",
+        "obs-narrower-than-state", "text-obs-narrower-than-state"])
 def test_fixture_of_the_wrong_kind_exit_2(tmp_path, monkeypatch, state, obs, message):
     monkeypatch.chdir(tmp_path)
     result = CliRunner().invoke(main, ["estimate", "--state", state, "--obs", obs, "--exact"])

@@ -319,7 +319,9 @@ def test_stabilizer_bases_use_no_eigensolver(monkeypatch):
 
 def test_import_builds_no_ensemble():
     src = str(Path(pqst.__file__).resolve().parents[1])
-    code = ("import pqst\n"
+    code = ("import sys\n"
+            "import pqst\n"
+            "assert not [m for m in sys.modules if m.startswith('pqst.')]\n"
             "from pqst import ensembles\n"
             "caches = [v for v in vars(ensembles).values() if hasattr(v, 'cache_info')]\n"
             "assert caches\n"

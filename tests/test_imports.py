@@ -1,4 +1,4 @@
-"""Every import in src/pqst (bar the package's re-exports), tests/ and scripts/ is used."""
+"""Every import in src/pqst, tests/ and scripts/ is used."""
 
 import ast
 from pathlib import Path
@@ -22,7 +22,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    files = [p for p in (ROOT / "src" / "pqst").glob("*.py") if p.name != "__init__.py"]
+    files = sorted((ROOT / "src" / "pqst").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert len(files) > 10
     assert [entry for path in files for entry in unused_imports(path)] == []

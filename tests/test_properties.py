@@ -9,7 +9,7 @@ from pqst.ensembles import zeta_A, zeta_m_active, zeta_union, zeta_x
 from pqst.operators import Observable, PauliString, activity_of_indices, is_x_structured, \
     pattern_qubits
 from pqst.shadow import combine_pses, ensemble_pse
-from conftest import random_density
+from pqst.golden import random_density_matrix
 
 sizes = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -25,7 +25,7 @@ def _assert_exact_on_trusted(rho, ens):
 @settings(max_examples=50, deadline=None)
 @given(sizes, seeds, st.data())
 def test_zeta_sets_exact_on_trusted_elements(n, seed, data):
-    rho = random_density(n, np.random.default_rng(seed))
+    rho = random_density_matrix(n, np.random.default_rng(seed))
     qubits = list(range(1, n + 1))
     a = data.draw(st.sets(st.sampled_from(qubits), min_size=1))
     _assert_exact_on_trusted(rho, zeta_A(n, a))
@@ -39,7 +39,7 @@ def test_zeta_sets_exact_on_trusted_elements(n, seed, data):
 @settings(max_examples=20, deadline=None)
 @given(sizes, seeds)
 def test_combined_zeta_x_and_m_active_sets_recover_rho(n, seed):
-    rho = random_density(n, np.random.default_rng(seed))
+    rho = random_density_matrix(n, np.random.default_rng(seed))
     sets = [zeta_x(n)] + [zeta_m_active(n, m) for m in range(1, n)]
     est = combine_pses([ensemble_pse(rho, ens) for ens in sets])
     assert np.abs(est - rho.mat).max() < 1e-10

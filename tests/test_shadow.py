@@ -10,13 +10,14 @@ from pqst.operators import activity_of_indices, expectation, parse_observable
 from pqst.qcore import spawn_rng
 from pqst.shadow import (CoverageError, combine_pses, ensemble_pse,
                          estimate_observable, sampled_pse)
-from conftest import random_density, reference_cells
+from pqst.golden import random_density_matrix
+from conftest import reference_cells
 
 
 def test_snapshot_is_unbiased_over_cells(rng):
     # probability-weighted average of all snapshots = pseudo-inverse of the
     # exact forward channel = the exact-mode PSE
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     for ens in (zeta_x(2), zeta_union(2, [{1}, {2}]), pauli_local_ensemble(2),
                 clifford_ensemble(2), mub_ensemble(2)):
         probs, snaps = reference_cells(ens, rho)
@@ -51,7 +52,7 @@ def test_sampled_pse_matches_full_stack_formula(n):
     # the per-member accumulation equals the whole (cells, d, d) snapshot stack
     # contracted with the same counts
     rng = np.random.default_rng(70 + n)
-    rho = random_density(n, rng)
+    rho = random_density_matrix(n, rng)
     shots = 5000
     for ens in _every_set(n):
         probs, snaps = reference_cells(ens, rho)
@@ -67,7 +68,7 @@ def test_sampled_pse_matches_full_stack_formula(n):
 
 
 def test_ensemble_pse_trusted_entries(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     pse = ensemble_pse(rho, zeta_A(2, {1}))
     assert pse.shots == 0 and pse.ensemble.p == 3
     assert abs(pse.estimate[0, 2] - rho.mat[0, 2]) < 1e-12
@@ -76,7 +77,7 @@ def test_ensemble_pse_trusted_entries(rng):
 
 
 def test_sampled_pse_converges_and_is_deterministic(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     ens = zeta_x(2)
     pse1 = sampled_pse(rho, ens, 200_000, spawn_rng(42, 0))
     pse2 = sampled_pse(rho, ens, 200_000, spawn_rng(42, 0))
@@ -91,7 +92,7 @@ def test_sampled_pse_converges_and_is_deterministic(rng):
 
 
 def test_combine_full_coverage(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     pses = [ensemble_pse(rho, zeta_x(2)),
             ensemble_pse(rho, zeta_union(2, [{1}, {2}]))]
     est = combine_pses(pses)
@@ -99,21 +100,21 @@ def test_combine_full_coverage(rng):
 
 
 def test_combine_reports_missing_patterns(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     with pytest.raises(CoverageError) as err:
         combine_pses([ensemble_pse(rho, zeta_union(2, [{1}, {2}]))])
     assert "diagonal" in str(err.value) and "{1,2}" in str(err.value)
 
 
 def test_combine_rejects_double_ownership(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     with pytest.raises(CoverageError):
         combine_pses([ensemble_pse(rho, zeta_x(2)),
                       ensemble_pse(rho, pauli_local_ensemble(2))])
 
 
 def test_estimate_observable_matches_trace(rng):
-    rho = random_density(2, rng)
+    rho = random_density_matrix(2, rng)
     obs = parse_observable("8 ZY; 12 XZ; 3 XX; -10 IZ; 9 II")
     pses = [ensemble_pse(rho, zeta_x(2)),
             ensemble_pse(rho, zeta_union(2, [{1}, {2}]))]
