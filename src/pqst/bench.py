@@ -1,5 +1,4 @@
-"""Benchmark fixtures, the MSE-scaling experiment, scaling fits, CSV output,
-and the simulated diagonal-tomography reconstruction pipeline."""
+"""Benchmark fixtures, the MSE-scaling experiment, scaling fits and CSV output."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from .operators import Observable, PAULI_1Q, activity_support, expectation, \
     parse_observable, pattern_qubits
 from .ensembles import UnitaryEnsemble, parse_ensemble_spec, zeta_union, zeta_x
 from .channels import apply_inverse
-from .shadow import CoverageError, cell_probabilities, pattern_owners, reconstruct_state
+from .shadow import CoverageError, cell_probabilities, pattern_owners
 
 DEFAULT_SHOT_GRID = (100, 1000, 10_000, 100_000)
 DEFAULT_TRIALS = 1000
@@ -31,9 +30,8 @@ class BenchError(ValueError):
 
 @dataclass
 class Fixture:
-    """A named reference state or observable."""
+    """A catalogue reference state or observable."""
 
-    name: str
     state: DensityMatrix | None = None
     observable: Observable | None = None
 
@@ -150,9 +148,9 @@ FIXTURE_NAMES = tuple(_STATES) + tuple(_OBSERVABLES)
 def load_fixture(name: str) -> Fixture:
     """Look up a reference state or observable by catalogue name."""
     if name in _STATES:
-        return Fixture(name, state=_STATES[name]())
+        return Fixture(state=_STATES[name]())
     if name in _OBSERVABLES:
-        return Fixture(name, observable=parse_observable(_OBSERVABLES[name]))
+        return Fixture(observable=parse_observable(_OBSERVABLES[name]))
     raise BenchError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
 
 
@@ -327,26 +325,3 @@ def write_csv(path, rows) -> None:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-
-
-# ---------------------------------------------------------------------------
-# Simulated diagonal-tomography reconstruction pipeline (2 qubits).
-
-def nmr_pipeline_sim(state: DensityMatrix, shots: int | None = None,
-                     seed: int | None = None) -> dict:
-    """Reconstruct a 2-qubit state from the zeta_X and zeta_1 PSEs.
-
-    `shots=None` runs the exact diagonal-tomography mode; otherwise each set
-    gets `shots` sampled measurements. Reports the combined estimate, per-set
-    diagonal populations for every unitary, and fidelity vs the input.
-    """
-    if state.n != 2:
-        raise BenchError("the reconstruction pipeline is defined for 2 qubits")
-    if shots is not None and seed is None:
-        raise BenchError("sampled mode requires a seed")
-    zx = zeta_x(2)
-    z1 = zeta_union(2, [{1}, {2}])
-    report = reconstruct_state(state, [zx, z1], shots, seed)
-    report["populations"] = {ens.name: cell_probabilities(ens, state).tolist()
-                             for ens in (zx, z1)}
-    return report

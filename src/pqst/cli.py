@@ -20,8 +20,8 @@ from .operators import Observable, ObservableError, format_observable, \
 from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
     parse_ensemble_spec
 from .channels import ChannelError
-from .shadow import CoverageError, ensemble_pse, estimate_observable, \
-    reconstruct_state
+from .shadow import FIDELITY_SLACK, CoverageError, ensemble_pse, \
+    estimate_observable, reconstruct_state
 from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, FIXTURE_NAMES, \
     bench_rows, draw_estimates, load_fixture, measurement_models, method_ensembles, \
     write_csv
@@ -170,12 +170,9 @@ def reconstruct(state, sets_spec, exact, shots, seed, output, config_path):
     if opts["sets"] is None:
         _fail("--sets is required (e.g. 'zeta-X,zeta-A:1|zeta-A:2')", 2)
     ensembles = parse_ensemble_list(opts["sets"], rho.n)
-    if exact:
-        report = reconstruct_state(rho, ensembles, seed=opts["seed"])
-    else:
-        shots_per_set = _require_shots(opts["shots"])
-        report = reconstruct_state(rho, ensembles, shots_per_set,
-                                   _require_seed(opts["seed"]))
+    shots_per_set = None if exact else _require_shots(opts["shots"])
+    run_seed = opts["seed"] if exact else _require_seed(opts["seed"])
+    report = reconstruct_state(rho, ensembles, shots_per_set, run_seed)
     report["state"] = state_name
     if opts["output"]:
         with open(opts["output"], "w") as fh:
@@ -184,6 +181,8 @@ def reconstruct(state, sets_spec, exact, shots, seed, output, config_path):
         click.echo(f"report written to {opts['output']}")
     click.echo(f"sets: {', '.join(s['name'] for s in report['sets'])}")
     click.echo(f"fidelity vs input: {report['fidelity_vs_reference']:.10f}")
+    if report["fidelity_above_one"]:
+        click.echo(f"warning: fidelity exceeds 1 by more than {FIDELITY_SLACK:g}", err=True)
 
 
 @main.command()

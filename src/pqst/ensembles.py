@@ -42,7 +42,6 @@ class UnitaryEnsemble:
     p: float | None
     inverse_kind: str  # 'pseudo' | 'global-depolarizing' | 'per-site-pauli'
     trusted: frozenset
-    local_factors: tuple | None = None  # per-member single-qubit factors, if local
 
     @property
     def size(self) -> int:
@@ -89,9 +88,12 @@ def _zeta_words(n, subsets):
 
 
 def _validate_subset(n, a):
-    a = frozenset(int(q) for q in a)
+    qubits = [int(q) for q in a]
+    a = frozenset(qubits)
     if not a:
         raise EnsembleError("empty active set A is rejected; use zeta-X for diagonal readout")
+    if len(a) < len(qubits):
+        raise EnsembleError(f"active set {qubits} names a qubit more than once")
     if not a <= set(range(1, n + 1)):
         raise EnsembleError(f"active set {sorted(a)} outside qubits 1..{n}")
     return a
@@ -119,8 +121,7 @@ def zeta_union(n: int, subsets) -> UnitaryEnsemble:
         name = "|".join("zeta-A:" + ",".join(map(str, sorted(a))) for a in subsets)
     return UnitaryEnsemble(
         name=name, n=n, members=_word_members(words), p=float(len(words)),
-        inverse_kind="pseudo", trusted=frozenset(trusted), local_factors=tuple(words),
-    )
+        inverse_kind="pseudo", trusted=frozenset(trusted))
 
 
 def zeta_x(n: int) -> UnitaryEnsemble:
@@ -146,9 +147,7 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
     words = list(itertools.product(("1", "H", "HS"), repeat=n))
     return UnitaryEnsemble(
         name="pauli", n=n, members=_word_members(words), p=None,
-        inverse_kind="per-site-pauli", trusted=frozenset(range(2**n)),
-        local_factors=tuple(words),
-    )
+        inverse_kind="per-site-pauli", trusted=frozenset(range(2**n)))
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def check_closed_forms(seed: int):
 def _single_word_ensemble(word, gate):
     """The one-member 2-qubit pseudo ensemble {gate x gate}, named by its word."""
     return UnitaryEnsemble("x".join(word), 2, (kron_all(gate, gate),), None,
-                           "pseudo", frozenset(), local_factors=(word,))
+                           "pseudo", frozenset())
 
 
 def check_generalized_protocol(seed: int):

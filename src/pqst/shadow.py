@@ -87,7 +87,7 @@ def pattern_owners(sets, terms=()) -> dict:
 
 
 def combine_pses(pses) -> np.ndarray:
-    """Assemble a full density-matrix estimate, one owner per element class."""
+    """Assemble the full estimate, one owner per element class; exactly Hermitian."""
     pses = list(pses)
     if not pses:
         raise CoverageError("no PSEs given")
@@ -111,22 +111,28 @@ def estimate_observable(obs: Observable, pses) -> float:
     return sum(expectation(t.matrix(), pses[owners[t.activity]].estimate) for t in obs.terms)
 
 
+FIDELITY_SLACK = 1e-6  # above the eigensolver's noise on exact runs (up to ~3e-8)
+
+
 def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,
                           reference: DensityMatrix) -> dict:
-    """Structured reconstruction report: estimate, trusted flags, fidelity."""
-    owned = np.isin(activity_of_indices(reference.n),
-                    list(pattern_owners([p.ensemble for p in pses])))
-    f, clipped = fidelity_with_clip(reference, (estimate + dag(estimate)) / 2)
+    """Report of a `combine_pses` estimate: each set's owned patterns, the
+    reference's validation residuals, and the fidelity, flagged above 1."""
+    f, clipped = fidelity_with_clip(reference, estimate)
+    n = reference.n
     return {
-        "n_qubits": reference.n,
+        "n_qubits": n,
         "estimate_re": [[float(x) for x in row] for row in estimate.real],
         "estimate_im": [[float(x) for x in row] for row in estimate.imag],
-        "trusted": owned.tolist(),
-        "sets": [{"name": p.ensemble.name, "p": p.ensemble.p, "shots": p.shots}
+        "sets": [{"name": p.ensemble.name, "p": p.ensemble.p, "shots": p.shots,
+                  "patterns": [pattern_name(a, n) for a in sorted(
+                      p.ensemble.trusted, key=lambda m: (m.bit_count(), pattern_qubits(m, n)))]}
                  for p in pses],
         "shots_per_set": shots_per_set,
         "seed": seed,
+        "state_residuals": dict(reference.validation_residuals),
         "fidelity_vs_reference": float(f),
+        "fidelity_above_one": f > 1 + FIDELITY_SLACK,
         "fidelity_clipped_mass": float(clipped),
     }
 
@@ -135,9 +141,11 @@ def reconstruct_state(rho: DensityMatrix, ensembles, shots: int | None = None,
                       seed=None) -> dict:
     """Reconstruction report of rho from one PSE per set, combined. Exact mode
     when `shots` is None; otherwise set i draws `shots` shots from the stream
-    (seed, i)."""
+    (seed, i), and a seed is required."""
     if shots is None:
         pses = [ensemble_pse(rho, ens) for ens in ensembles]
+    elif seed is None:
+        raise ValueError("sampled mode requires a seed")
     else:
         pses = [sampled_pse(rho, ens, shots, spawn_rng(seed, i))
                 for i, ens in enumerate(ensembles)]

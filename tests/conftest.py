@@ -1,3 +1,6 @@
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,21 @@ def random_hermitian(d, rng):
 _SITE = {"1": ID2, "H": HADAMARD, "HS": HS}
 
 
+@lru_cache(maxsize=None)
+def _word_products(n):
+    words = list(itertools.product(_SITE, repeat=n))
+    return words, np.stack([kron_all(*(_SITE[w] for w in word)) for word in words])
+
+
+def member_word(ens, member):
+    """The {1, H, HS} word of one member of a local ensemble, recovered by
+    matching its matrix against the product of every word."""
+    words, products = _word_products(ens.n)
+    resid = np.abs(products - ens.members[member]).max(axis=(1, 2))
+    assert resid.min() < 1e-12, f"member {member} of {ens.name} is not a {{1, H, HS}} word"
+    return words[int(resid.argmin())]
+
+
 def reference_snapshot(ens, member, k):
     """M^{-1}(U^dag|k><k|U) of one cell, written out per inverse kind without
     channels.apply_inverse: the kron of 3|k_q><k_q| - 1 over the sites of a
@@ -21,7 +39,7 @@ def reference_snapshot(ens, member, k):
     n, d = ens.n, 2**ens.n
     if ens.inverse_kind == "per-site-pauli":
         factors = []
-        for q, w in enumerate(ens.local_factors[member]):
+        for q, w in enumerate(member_word(ens, member)):
             ket = _SITE[w].conj().T[:, (k >> (n - 1 - q)) & 1]
             factors.append(3 * np.outer(ket, ket.conj()) - np.eye(2))
         return kron_all(*factors)

@@ -4,7 +4,7 @@ import pytest
 from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, METHODS,
                         MseResult, bench_rows, method_ensembles,
                         fit_scaling, load_fixture, measurement_models,
-                        mse_experiment, nmr_pipeline_sim, pqst_auto_ensembles,
+                        mse_experiment, pqst_auto_ensembles,
                         write_csv)
 from pqst.channels import apply_inverse
 from pqst.ensembles import clifford_ensemble, mub_ensemble, \
@@ -233,23 +233,3 @@ def test_bench_rows_and_csv(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first == ("method,n_qubits,state,observable,shots,trials,mse,stderr,"
                      "true_value,slope_tag,seed")
-
-
-def test_nmr_pipeline_exact_and_sampled():
-    state = load_fixture("table2-iii").state
-    report = nmr_pipeline_sim(state)
-    assert report["fidelity_vs_reference"] >= 1 - 1e-10
-    assert len(report["populations"]["zeta-X"]) == 5
-    # identity member populations equal the Born probabilities of the input
-    idx = 0  # identity is the first word of zeta_X's member list
-    from pqst.ensembles import zeta_x
-    members = zeta_x(2).local_factors
-    idx = members.index(("1", "1"))
-    assert np.allclose(report["populations"]["zeta-X"][idx],
-                       np.diag(state.mat).real)
-    sampled = nmr_pipeline_sim(state, shots=50_000, seed=2)
-    assert sampled["fidelity_vs_reference"] >= 0.97
-    with pytest.raises(BenchError):
-        nmr_pipeline_sim(state, shots=10)
-    with pytest.raises(BenchError):
-        nmr_pipeline_sim(load_fixture("rho3").state)

@@ -80,7 +80,22 @@ def test_reconstruct_report_file(tmp_path):
     assert report["n_qubits"] == 2
     assert report["seed"] == 4
     assert len(report["estimate_re"]) == 4
-    assert all(any(row) for row in report["trusted"])
+    assert [s["patterns"] for s in report["sets"]] == [["diagonal", "{1,2}"], ["{1}", "{2}"]]
+    assert report["state_residuals"] == load_fixture("table2-i").state.validation_residuals
+    assert report["fidelity_above_one"] is False
+
+
+@pytest.mark.parametrize("mode,fidelity,warned", [
+    (["--exact"], "1.0000000264", False),  # eigensolver noise stays below the flag
+    (["--shots", "100000", "--seed", "11"], "1.0009402786", True),
+])
+def test_reconstruct_warns_on_stderr_of_a_fidelity_above_one(mode, fidelity, warned):
+    result = CliRunner().invoke(main, ["reconstruct", "--state", "table2-i", "--sets",
+                                       "zeta-X,zeta-A:1|zeta-A:2", *mode])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-1] == f"fidelity vs input: {fidelity}"
+    assert result.stderr.splitlines() == \
+        (["warning: fidelity exceeds 1 by more than 1e-06"] if warned else [])
 
 
 def test_reconstruct_from_state_file(tmp_path):
@@ -210,6 +225,7 @@ _BAD_VALUES = [
                "shots_grid": "100,100"}),
     ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
                "shots_grid": "100,1000,0100"}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-A:1,1", "exact": True}),
 ]
 
 

@@ -23,6 +23,7 @@ from pqst.ensembles import (EnsembleError, clifford_ensemble,
                             zeta_union, zeta_x)
 from pqst.operators import PAULI_1Q, pattern_mask
 from pqst.qcore import HADAMARD, PHASE_S, dag
+from conftest import member_word
 
 
 def is_unitary(u, tol=1e-10):
@@ -60,7 +61,8 @@ def test_union_words_are_distinct():
             for k in range(1, len(same) + 1):
                 for subsets in itertools.combinations(same, k):
                     ens = zeta_union(n, subsets)
-                    assert len(set(ens.local_factors)) == ens.size == ens.p
+                    words = {member_word(ens, i) for i in range(ens.size)}
+                    assert len(words) == ens.size == ens.p
 
 
 def test_zeta_x_is_full_register():
@@ -195,6 +197,8 @@ _SPEC_GRAMMAR = [
     ("zeta-A:1|", 2, "union parts must be zeta-A specs, got ''"),
     ("pauli|zeta-A:1", 2, "union parts must be zeta-A specs, got 'pauli'"),
     ("zeta-A:1|zeta-A:1", 2, "union subsets must be distinct"),
+    ("zeta-A:1,1", 2, "active set [1, 1] names a qubit more than once"),
+    ("zeta-A:2|zeta-A:1,1", 2, "active set [1, 1] names a qubit more than once"),
     ("zeta-A:1|zeta-A:1,2", 2, "union subsets must have equal cardinality"),
     ("zeta-A:1|zeta-A:b", 2, "ensemble spec 'zeta-A:b': 'b' is not a list of integers"),
     ("clifford", 4, "clifford ensemble supported only for n <= 3"),
@@ -338,8 +342,8 @@ def test_import_builds_no_ensemble():
 # zeta_union in descending mask order, which is lexicographic qubit-label order.
 
 def _order_digest(ensembles):
-    return hashlib.sha256(repr([(e.name, e.local_factors) for e in ensembles])
-                          .encode()).hexdigest()
+    words = [(e.name, tuple(member_word(e, i) for i in range(e.size))) for e in ensembles]
+    return hashlib.sha256(repr(words).encode()).hexdigest()
 
 
 _AUTO_SHA256 = {

@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from pqst.ensembles import (clifford_ensemble, mub_ensemble,
+from pqst.bench import load_fixture
+from pqst.ensembles import (clifford_ensemble, mub_ensemble, parse_ensemble_list,
                             pauli_local_ensemble, zeta_A, zeta_m_active,
                             zeta_union, zeta_x)
-from pqst.operators import activity_of_indices, expectation, parse_observable
+from pqst.operators import activity_of_indices, expectation, parse_observable, \
+    pattern_name
 from pqst.qcore import spawn_rng
-from pqst.shadow import (CoverageError, combine_pses, ensemble_pse,
-                         estimate_observable, sampled_pse)
+from pqst.shadow import (CoverageError, cell_probabilities, combine_pses, ensemble_pse,
+                         estimate_observable, reconstruct_state, sampled_pse)
 from pqst.golden import random_density_matrix
-from conftest import reference_cells
+from conftest import member_word, reference_cells
 
 
 def test_snapshot_is_unbiased_over_cells(rng):
@@ -123,3 +125,55 @@ def test_estimate_observable_matches_trace(rng):
     with pytest.raises(CoverageError):
         estimate_observable(obs, pses[1:])
 
+
+def test_identity_member_cell_probabilities_are_the_populations():
+    state = load_fixture("table2-iii").state
+    ens = zeta_x(2)
+    probs = cell_probabilities(ens, state)
+    assert probs.shape == (5, 4)
+    identity = [member_word(ens, i) for i in range(ens.size)].index(("1", "1"))
+    assert np.allclose(probs[identity], np.diag(state.mat).real)
+
+
+_ZETA_X_AND_ZETA_1 = (zeta_x(2), zeta_union(2, [{1}, {2}]))
+
+
+def test_reconstruct_state_exact_and_sampled():
+    state = load_fixture("table2-iii").state
+    exact = reconstruct_state(state, _ZETA_X_AND_ZETA_1)
+    assert exact["fidelity_vs_reference"] >= 1 - 1e-10
+    assert exact["seed"] is None and exact["shots_per_set"] == 0
+    sampled = reconstruct_state(state, _ZETA_X_AND_ZETA_1, 50_000, 2)
+    assert sampled["fidelity_vs_reference"] >= 0.97
+
+
+def test_reconstruct_state_sampled_needs_a_seed():
+    state = load_fixture("table2-iii").state
+    with pytest.raises(ValueError, match="requires a seed"):
+        reconstruct_state(state, _ZETA_X_AND_ZETA_1, 10)
+
+
+@pytest.mark.parametrize("n,specs,expected", [
+    (2, "zeta-X,zeta-A:1|zeta-A:2", [["diagonal", "{1,2}"], ["{1}", "{2}"]]),
+    (2, "pauli", [["diagonal", "{1}", "{2}", "{1,2}"]]),
+    (3, "zeta-m:2,zeta-X,zeta-m:1",
+     [["{1,2}", "{1,3}", "{2,3}"], ["diagonal", "{1,2,3}"], ["{1}", "{2}", "{3}"]]),
+])
+def test_report_lists_each_pattern_under_its_one_owner(n, specs, expected):
+    rho = random_density_matrix(n, np.random.default_rng(n))
+    report = reconstruct_state(rho, parse_ensemble_list(specs, n), 100, 3)
+    patterns = [s["patterns"] for s in report["sets"]]
+    assert patterns == expected
+    names = [name for owned in patterns for name in owned]
+    assert sorted(names) == sorted(pattern_name(m, n) for m in range(2**n))
+
+
+def test_report_flags_a_fidelity_above_one_and_records_residuals():
+    state = load_fixture("table2-i").state
+    exact = reconstruct_state(state, _ZETA_X_AND_ZETA_1)
+    sampled = reconstruct_state(state, _ZETA_X_AND_ZETA_1, 100_000, 11)
+    assert abs(exact["fidelity_vs_reference"] - 1) < 1e-7
+    assert not exact["fidelity_above_one"]
+    assert sampled["fidelity_vs_reference"] > 1 + 1e-6
+    assert sampled["fidelity_above_one"]
+    assert sampled["state_residuals"] == state.validation_residuals
