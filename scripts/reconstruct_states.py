@@ -28,6 +28,10 @@ def main():
                     help="shots per measurement set in sampled mode")
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
+    if args.shots < 1:
+        ap.error(f"--shots must be >= 1, got {args.shots}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     print(f"{'state':12s} {'exact fidelity':>16s} {'sampled fidelity':>18s}")
     flagged = False

@@ -30,6 +30,10 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--outdir", type=Path, default=Path("results"))
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     for panel, state_name, obs_name in PANELS:

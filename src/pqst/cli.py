@@ -1,9 +1,9 @@
 """Command-line interface: reconstruct, estimate, bench, validate, ensemble-info.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage/parse/coverage error.
-Seeds are always explicit flags (or config-file entries); there is no
-environment-variable fallback, so every stochastic run is reproducible from
-its recorded invocation.
+Options come from flags only: there is no config file and no environment
+fallback, and a seed is always an explicit --seed, so every run is
+reproducible from its recorded invocation.
 """
 
 from __future__ import annotations
@@ -52,54 +52,11 @@ def _guarded(fn):
     return wrapper
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read config {path}: {exc}", 2)
-    if not isinstance(doc, dict):
-        _fail(f"config {path} must be a flat JSON object", 2)
-    return doc
-
-
-def _integer(key: str, value):
-    """An integer option: a JSON integer or integer text, or None when unset."""
-    if value is None or type(value) is int:
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    _fail(f"{key} must be an integer, got {value!r}", 2)
-
-
 def _seed(seed):
     """A seed, which SeedSequence takes only when it is >= 0; None when unset."""
     if seed is not None and seed < 0:
         _fail(f"--seed must be >= 0, got {seed}", 2)
     return seed
-
-
-def _merge(config: dict, **flags):
-    """Explicit CLI flags win; config file fills unset options."""
-    out = {}
-    for key, value in flags.items():
-        out[key] = config.get(key) if value is None else value
-        if key in ("shots", "seed", "trials"):
-            out[key] = _integer(key, out[key])
-    _seed(out.get("seed"))
-    return out
-
-
-def _exact(flag: bool, config: dict) -> bool:
-    value = config.get("exact", False)
-    if not isinstance(value, bool):
-        _fail(f"exact must be true or false, got {value!r}", 2)
-    return flag or value
 
 
 def _require_shots(shots) -> int:
@@ -157,28 +114,23 @@ def main():
 @click.option("--seed", type=int, default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the reconstruction report as JSON.")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON config; explicit flags override it.")
 @_guarded
-def reconstruct(state, sets_spec, exact, shots, seed, output, config_path):
+def reconstruct(state, sets_spec, exact, shots, seed, output):
     """Reconstruct a density matrix from one PSE per measurement set."""
-    cfg = _load_config(config_path)
-    opts = _merge(cfg, state=state, sets=sets_spec, shots=shots, seed=seed,
-                  output=output)
-    exact = _exact(exact, cfg)
-    state_name, rho = _resolve_state(opts["state"])
-    if opts["sets"] is None:
+    _seed(seed)
+    state_name, rho = _resolve_state(state)
+    if sets_spec is None:
         _fail("--sets is required (e.g. 'zeta-X,zeta-A:1|zeta-A:2')", 2)
-    ensembles = parse_ensemble_list(opts["sets"], rho.n)
-    shots_per_set = None if exact else _require_shots(opts["shots"])
-    run_seed = opts["seed"] if exact else _require_seed(opts["seed"])
+    ensembles = parse_ensemble_list(sets_spec, rho.n)
+    shots_per_set = None if exact else _require_shots(shots)
+    run_seed = seed if exact else _require_seed(seed)
     report = reconstruct_state(rho, ensembles, shots_per_set, run_seed)
     report["state"] = state_name
-    if opts["output"]:
-        with open(opts["output"], "w") as fh:
+    if output:
+        with open(output, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-        click.echo(f"report written to {opts['output']}")
+        click.echo(f"report written to {output}")
     click.echo(f"sets: {', '.join(s['name'] for s in report['sets'])}")
     click.echo(f"fidelity vs input: {report['fidelity_vs_reference']:.10f}")
     if report["fidelity_above_one"]:
@@ -195,16 +147,12 @@ def reconstruct(state, sets_spec, exact, shots, seed, output, config_path):
 @click.option("--exact", is_flag=True, default=False)
 @click.option("--shots", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
 @_guarded
-def estimate(state, obs_spec, method, exact, shots, seed, config_path):
+def estimate(state, obs_spec, method, exact, shots, seed):
     """Estimate the expectation value of a Pauli-string observable."""
-    cfg = _load_config(config_path)
-    opts = _merge(cfg, state=state, obs=obs_spec, shots=shots, seed=seed)
-    exact = _exact(exact, cfg)
-    state_name, rho = _resolve_state(opts["state"])
-    obs_name, obs = _resolve_observable(opts["obs"], rho.n)
+    _seed(seed)
+    state_name, rho = _resolve_state(state)
+    obs_name, obs = _resolve_observable(obs_spec, rho.n)
 
     if method == "pqst-rotated":
         found = rotate_to_x_structure(obs)
@@ -226,8 +174,8 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
         click.echo(f"method: {method_label} (exact)")
         click.echo(f"estimate: {value!r}")
     else:
-        share = _require_shots(opts["shots"])
-        run_seed = _require_seed(opts["seed"])
+        share = _require_shots(shots)
+        run_seed = _require_seed(seed)
         models = measurement_models(rho, obs, models_method)
         value, stderr = draw_estimates(models, share, spawn_rng(run_seed, 0), 1)
         click.echo(f"method: {method_label} (sampled, {share} shots per set, "
@@ -243,39 +191,34 @@ def estimate(state, obs_spec, method, exact, shots, seed, config_path):
               help="Comma-separated subset of pqst-auto,pauli,clifford,mub.")
 @click.option("--shots-grid", default=None,
               help="Comma-separated shot budgets (default 100,1000,10000,100000).")
-@click.option("--trials", type=int, default=None)
+@click.option("--trials", type=int, default=DEFAULT_TRIALS)
 @click.option("--seed", type=int, default=None)
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="CSV output path (required).")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
 @_guarded
-def bench(state, obs_spec, methods, shots_grid, trials, seed, output, config_path):
+def bench(state, obs_spec, methods, shots_grid, trials, seed, output):
     """Run the MSE-scaling benchmark and write one CSV row per (method, shots)."""
-    cfg = _load_config(config_path)
-    opts = _merge(cfg, state=state, obs=obs_spec, shots_grid=shots_grid,
-                  trials=trials, seed=seed, output=output)
-    state_name, rho = _resolve_state(opts["state"])
-    obs_name, obs = _resolve_observable(opts["obs"], rho.n)
-    run_seed = _require_seed(opts["seed"])
-    if opts["output"] is None:
+    _seed(seed)
+    state_name, rho = _resolve_state(state)
+    obs_name, obs = _resolve_observable(obs_spec, rho.n)
+    run_seed = _require_seed(seed)
+    if output is None:
         _fail("--output CSV path is required", 2)
     try:
-        grid = DEFAULT_SHOT_GRID if opts["shots_grid"] is None else \
-            tuple(int(s) for s in str(opts["shots_grid"]).split(","))
+        grid = DEFAULT_SHOT_GRID if shots_grid is None else \
+            tuple(int(s) for s in shots_grid.split(","))
     except ValueError:
-        _fail(f"--shots-grid must be comma-separated integers, got {opts['shots_grid']!r}", 2)
+        _fail(f"--shots-grid must be comma-separated integers, got {shots_grid!r}", 2)
     if len(set(grid)) < len(grid):
-        _fail(f"--shots-grid must name each budget once, got {opts['shots_grid']!r}", 2)
-    n_trials = DEFAULT_TRIALS if opts["trials"] is None else opts["trials"]
+        _fail(f"--shots-grid must name each budget once, got {shots_grid!r}", 2)
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     selections = {"pqst-auto" if m == "pqst" else m for m in method_list}  # pqst = pqst-auto
     if not method_list or len(selections) < len(method_list):
         _fail(f"--methods must name one or more methods, each once, got {methods!r}", 2)
     rows = bench_rows(state_name, rho, obs_name, obs, method_list, grid,
-                      n_trials, run_seed)
-    write_csv(opts["output"], rows)
-    click.echo(f"{len(rows)} rows written to {opts['output']}")
+                      trials, run_seed)
+    write_csv(output, rows)
+    click.echo(f"{len(rows)} rows written to {output}")
 
 
 @main.command()

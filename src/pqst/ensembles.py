@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .qcore import HADAMARD, HS, ID2, MAX_QUBITS, PHASE_S, kron_all
-from .operators import PAULI_1Q, pattern_mask, pattern_qubits
+from .operators import PAULI_1Q, pattern_mask, pattern_order, pattern_qubits
 
 
 class EnsembleError(ValueError):
@@ -290,27 +290,22 @@ def clifford_ensemble(n: int) -> UnitaryEnsemble:
 
 @lru_cache(maxsize=None)
 def mub_partition(n: int) -> tuple:
-    """2^n+1 disjoint maximal commuting classes covering all nontrivial Pauli words."""
+    """2^n+1 disjoint maximal commuting classes covering all nontrivial Pauli words.
+
+    One greedy pass: each step takes the first class in sorted order that holds
+    the smallest uncovered word and no covered word.
+    """
     classes = maximal_isotropic_subspaces(n)
-    all_vecs = frozenset(v for cls in classes for v in cls)
-    solution = []
-
-    def rec(remaining):
-        if not remaining:
-            return True
-        pivot = min(remaining)
-        for cls in classes:
-            cset = frozenset(cls)
-            if pivot in cset and cset <= remaining:
-                solution.append(cls)
-                if rec(remaining - cset):
-                    return True
-                solution.pop()
-        return False
-
-    if not rec(all_vecs):
-        raise EnsembleError(f"no MUB partition found for n={n}")
-    return tuple(solution)
+    uncovered = {v for cls in classes for v in cls}
+    chosen = []
+    while uncovered:
+        pivot = min(uncovered)
+        cls = next((c for c in classes if pivot in c and uncovered.issuperset(c)), None)
+        if cls is None:
+            raise EnsembleError(f"no MUB partition found for n={n}")
+        chosen.append(cls)
+        uncovered.difference_update(cls)
+    return tuple(chosen)
 
 
 @lru_cache(maxsize=None)
@@ -375,8 +370,8 @@ def parse_ensemble_list(text: str, n: int) -> list:
 
 
 def ensemble_info(ens: UnitaryEnsemble) -> str:
-    sig = sorted((pattern_qubits(m, ens.n) for m in ens.trusted if m),
-                 key=lambda s: (len(s), s))
+    sig = [pattern_qubits(m, ens.n)
+           for m in sorted(ens.trusted, key=lambda m: pattern_order(m, ens.n)) if m]
     lines = [
         f"name: {ens.name}",
         f"n_qubits: {ens.n}",

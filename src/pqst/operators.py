@@ -114,6 +114,11 @@ def pattern_name(mask: int, n: int) -> str:
     return "{" + ",".join(map(str, pattern_qubits(mask, n))) + "}" if mask else "diagonal"
 
 
+def pattern_order(mask: int, n: int) -> tuple:
+    """Sort key of patterns: the diagonal first, then by size, then by qubit labels."""
+    return mask.bit_count(), pattern_qubits(mask, n)
+
+
 def activity_of_indices(n: int) -> np.ndarray:
     """The pattern i ^ j of every element (i, j) of a 2^n x 2^n matrix."""
     index = np.arange(2**n)

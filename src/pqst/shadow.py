@@ -9,7 +9,7 @@ import numpy as np
 
 from .qcore import DensityMatrix, born_table, dag, fidelity_with_clip, spawn_rng
 from .operators import Observable, activity_of_indices, expectation, pattern_name, \
-    pattern_qubits
+    pattern_order, pattern_qubits
 from .ensembles import UnitaryEnsemble
 from .channels import apply_inverse, forward_channel_exact
 
@@ -125,8 +125,8 @@ def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,
         "estimate_re": [[float(x) for x in row] for row in estimate.real],
         "estimate_im": [[float(x) for x in row] for row in estimate.imag],
         "sets": [{"name": p.ensemble.name, "p": p.ensemble.p, "shots": p.shots,
-                  "patterns": [pattern_name(a, n) for a in sorted(
-                      p.ensemble.trusted, key=lambda m: (m.bit_count(), pattern_qubits(m, n)))]}
+                  "patterns": [pattern_name(m, n) for m in sorted(
+                      p.ensemble.trusted, key=lambda m: pattern_order(m, n))]}
                  for p in pses],
         "shots_per_set": shots_per_set,
         "seed": seed,

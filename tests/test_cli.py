@@ -194,20 +194,6 @@ def test_bench_requires_seed(tmp_path):
     assert result.exit_code == 2
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"state": "rho2X", "obs": "1 ZZ", "exact": True}))
-    result = run("estimate", "--method", "pqst", "--config", str(cfg))
-    assert result.exit_code == 0
-    # flag overrides the config's observable
-    result = run("estimate", "--obs", "1 XX", "--method", "pqst",
-                 "--config", str(cfg))
-    assert result.exit_code == 0
-    value = float(result.output.split("estimate:")[1].strip())
-    rho = load_fixture("rho2X").state
-    assert abs(value - expectation(parse_observable("1 XX"), rho.mat)) < 1e-10
-
-
 _BAD_VALUES = [
     ("reconstruct", {"state": "rho2", "sets": "zeta-A:x", "exact": True}),
     ("reconstruct", {"state": "rho2", "sets": "zeta-m:x", "exact": True}),
@@ -229,20 +215,24 @@ _BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("via_config", [False, True])
 @pytest.mark.parametrize("command,options", _BAD_VALUES)
-def test_bad_values_exit_2_with_one_error_line(tmp_path, monkeypatch, command, options,
-                                               via_config):
+def test_bad_values_exit_2_with_one_error_line(tmp_path, monkeypatch, command, options):
     monkeypatch.chdir(tmp_path)
-    if via_config:
-        (tmp_path / "cfg.json").write_text(json.dumps(options))
-        args = ["--config", "cfg.json"]
-    else:
-        args = []
-        for key, value in options.items():
-            flag = "--" + key.replace("_", "-")
-            args += [flag] if value is True else [flag, str(value)]
+    args = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        args += [flag] if value is True else [flag, str(value)]
     _assert_one_error_line(CliRunner().invoke(main, [command, *args]), tmp_path)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "estimate", "bench"])
+def test_config_option_is_gone_exit_2(tmp_path, monkeypatch, command):
+    # a run is described by its flags alone
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("{}")
+    result = CliRunner().invoke(main, [command, "--config", "cfg.json"])
+    assert result.exit_code == 2
+    assert "No such option '--config'" in result.stderr
 
 
 def _assert_one_error_line(result, tmp_path):
@@ -277,45 +267,6 @@ def test_fixture_of_the_wrong_kind_exit_2(tmp_path, monkeypatch, state, obs, mes
     result = CliRunner().invoke(main, ["estimate", "--state", state, "--obs", obs, "--exact"])
     _assert_one_error_line(result, tmp_path)
     assert result.stderr == message
-
-
-_RECON = {"state": "rho2", "sets": "zeta-X,zeta-m:1"}
-_EST = {"state": "rho2", "obs": "O2X"}
-_BENCH = {"state": "rho2", "obs": "O2X", "output": "x.csv"}
-_BAD_CONFIG_TYPES = [
-    ("reconstruct", {**_RECON, "seed": 1, "shots": "abc"}),
-    ("reconstruct", {**_RECON, "seed": 1, "shots": 2.5}),
-    ("reconstruct", {**_RECON, "seed": "x", "shots": 10}),
-    ("reconstruct", {**_RECON, "seed": 1.5, "exact": True}),
-    ("reconstruct", {**_RECON, "exact": "false"}),
-    ("estimate", {**_EST, "seed": 1, "shots": "abc"}),
-    ("estimate", {**_EST, "seed": 1, "shots": True}),
-    ("estimate", {**_EST, "seed": "x", "shots": 10}),
-    ("estimate", {**_EST, "exact": "false"}),
-    ("estimate", {**_EST, "seed": 1, "shots": 10, "exact": 0}),
-    ("bench", {**_BENCH, "seed": "x"}),
-    ("bench", {**_BENCH, "seed": 1, "trials": "many"}),
-    ("bench", {**_BENCH, "seed": 1, "trials": 2.5}),
-]
-
-
-@pytest.mark.parametrize("command,options", _BAD_CONFIG_TYPES)
-def test_config_value_types_exit_2_with_one_error_line(tmp_path, monkeypatch, command,
-                                                       options):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(options))
-    _assert_one_error_line(CliRunner().invoke(main, [command, "--config", "cfg.json"]),
-                           tmp_path)
-
-
-def test_config_integer_text_and_boolean_exact(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**_EST, "seed": "8", "shots": "2000", "exact": False}))
-    by_config = run("estimate", "--method", "pauli", "--config", str(cfg))
-    by_flags = run("estimate", "--state", "rho2", "--obs", "O2X", "--method", "pauli",
-                   "--shots", "2000", "--seed", "8")
-    assert by_config.exit_code == 0 and "sampled" in by_config.output
-    assert by_config.output == by_flags.output
 
 
 def test_validate_negative_seed_exit_2(tmp_path):

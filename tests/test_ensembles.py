@@ -262,6 +262,20 @@ def test_isotropic_subspaces_pinned(n):
     assert digest == _ISOTROPIC_SHA256[n]
 
 
+# the member order of the MUB ensemble, and with it the `mub` draws
+_MUB_PARTITION_SHA256 = {
+    1: "b9b7fc2f0933ee7e74867f5a7e6b61af6366c0dbe9dca9ae8fb8a72e4311e904",
+    2: "6ddfbd0a9a90c8410613c60d28e7533e59886ae4f37b92acbfe351e851129f87",
+    3: "09d986b0b00c0554ac0c945dc394fe170c399117457ce81b7d1d5a3d0991726e",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mub_partition_pinned(n):
+    digest = hashlib.sha256(repr(mub_partition(n)).encode()).hexdigest()
+    assert digest == _MUB_PARTITION_SHA256[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stabilizer_and_mub_rows_are_ordered_joint_eigenvectors(n):
     classes = list(maximal_isotropic_subspaces(n)) + list(mub_partition(n))
