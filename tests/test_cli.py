@@ -215,7 +215,11 @@ _BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("command,options", _BAD_VALUES)
+# The ids keep the "-False" suffix that the flag cases carried when the same values
+# were also given through a config file, so each case keeps its name.
+@pytest.mark.parametrize("command,options", [
+    pytest.param(command, options, id=f"{command}-options{i}-False")
+    for i, (command, options) in enumerate(_BAD_VALUES)])
 def test_bad_values_exit_2_with_one_error_line(tmp_path, monkeypatch, command, options):
     monkeypatch.chdir(tmp_path)
     args = []
