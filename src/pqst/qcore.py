@@ -90,16 +90,6 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     return w[order], v[:, order]
 
 
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    return jacobi_eigh(a)[0]
-
-
-def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix, clamping tiny negative eigenvalues."""
-    w, v = jacobi_eigh(a)
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dag(v)
-
-
 # ---------------------------------------------------------------------------
 # Density matrices. Validation tolerances (Hermiticity, trace, eigenvalue
 # floor): strict by default; relaxed for fixture matrices transcribed from
@@ -114,7 +104,9 @@ class StateFileError(QcoreError):
 
 
 class DensityMatrix:
-    """Validated density operator: Hermitian, unit trace, PSD within tolerance."""
+    """Validated density operator: Hermitian, unit trace, PSD within tolerance.
+    Keeps the decomposition of the PSD check (ascending eigenvalues, eigenvector
+    columns of the Hermitian part); fidelity_with_clip reuses it."""
 
     def __init__(self, mat, relaxed: bool = False):
         herm_tol, trace_tol, eig_floor = RELAXED_TOLERANCES if relaxed else STRICT_TOLERANCES
@@ -127,7 +119,8 @@ class DensityMatrix:
         trace_resid = abs(complex(np.trace(mat)) - 1.0)
         if trace_resid > trace_tol:
             raise QcoreError(f"density matrix trace differs from 1 by {trace_resid:.2e}")
-        min_eig = float(eigvalsh((mat + dag(mat)) / 2).min())
+        self.eigenvalues, self.eigenvectors = jacobi_eigh(mat)
+        min_eig = float(self.eigenvalues[0])
         if min_eig < eig_floor:
             raise QcoreError(f"density matrix has eigenvalue {min_eig:.2e} below {eig_floor:.0e}")
         self.mat = mat
@@ -158,6 +151,9 @@ def born_table(members, x) -> np.ndarray:
 def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 plus clipped mass.
 
+    sqrt(rho) comes from the decomposition rho kept, so the one eigen solve is
+    of sqrt(rho) sigma sqrt(rho). Nothing is trace-normalised: F(rho, rho) =
+    (Tr rho)^2, e.g. 1.0002000100 for the relaxed rho3 of trace 1.0001.
     sigma may be any Hermitian matrix (finite-shot estimators can be
     non-physical); negative eigenvalues of sqrt(rho) sigma sqrt(rho) are
     clamped to zero and their total magnitude is returned alongside. That mass
@@ -168,8 +164,9 @@ def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
         raise QcoreError("fidelity arguments have mismatched dimensions")
     if np.abs(sig - dag(sig)).max() > 1e-8:
         raise QcoreError("fidelity second argument is not Hermitian")
-    sqrt_rho = matrix_sqrt_psd(rho.mat)
-    w = eigvalsh(sqrt_rho @ sig @ sqrt_rho)
+    w, v = rho.eigenvalues, rho.eigenvectors
+    sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dag(v)
+    w = jacobi_eigh(sqrt_rho @ sig @ sqrt_rho)[0]
     clipped = float(-w[w < 0].sum()) if np.any(w < 0) else 0.0
     f = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
     return f, clipped

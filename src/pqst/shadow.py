@@ -9,7 +9,7 @@ import numpy as np
 
 from .qcore import DensityMatrix, born_table, dag, fidelity_with_clip, spawn_rng
 from .operators import Observable, activity_of_indices, expectation, pattern_name, \
-    pattern_order, pattern_qubits
+    pattern_order
 from .ensembles import UnitaryEnsemble
 from .channels import apply_inverse, forward_channel_exact
 
@@ -94,7 +94,7 @@ def combine_pses(pses) -> np.ndarray:
     n = pses[0].ensemble.n
     owners = pattern_owners([p.ensemble for p in pses])
     masks = activity_of_indices(n)
-    missing = sorted(set(range(2**n)) - owners.keys(), key=lambda m: pattern_qubits(m, n))
+    missing = sorted(set(range(2**n)) - owners.keys(), key=lambda m: pattern_order(m, n))
     if missing:
         names = ", ".join(pattern_name(m, n) for m in missing)
         raise CoverageError(f"no PSE trusts activity patterns: {names}")

@@ -63,6 +63,15 @@ def test_reconstruct_missing_set_exit_2():
     assert "diagonal" in result.output and "{1,2}" in result.output
 
 
+def test_missing_patterns_are_listed_in_pattern_order():
+    result = CliRunner().invoke(main, ["reconstruct", "--state", "rho3",
+                                       "--sets", "zeta-m:1", "--exact"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: no PSE trusts activity patterns: "
+                             "diagonal, {1,2}, {1,3}, {2,3}, {1,2,3}\n")
+
+
 def test_reconstruct_sampled_requires_seed():
     result = run("reconstruct", "--state", "table2-v",
                  "--sets", "zeta-X,zeta-A:1|zeta-A:2", "--shots", "100")

@@ -1,5 +1,6 @@
-"""Property tests of the exact and sampled estimators over random states, and
-of the PQST set selection over random observables, n = 1..4."""
+"""Property tests of the exact and sampled estimators over random states, of
+the PQST set selection over random observables, and of the fidelity of random
+physical states, n = 1..4."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from pqst.bench import pqst_auto_ensembles
 from pqst.ensembles import pauli_local_ensemble, zeta_A, zeta_m_active, zeta_union, zeta_x
 from pqst.operators import Observable, PauliString, activity_of_indices, is_x_structured, \
     pattern_qubits
-from pqst.qcore import spawn_rng
-from pqst.shadow import combine_pses, ensemble_pse, sampled_pse
+from pqst.qcore import DensityMatrix, fidelity, spawn_rng
+from pqst.shadow import FIDELITY_SLACK, combine_pses, ensemble_pse, sampled_pse
 from pqst.golden import random_density_matrix
 
 sizes = st.integers(min_value=1, max_value=4)
@@ -88,3 +89,21 @@ def test_pqst_auto_gives_zeta_x_for_x_structured_observables(obs):
     assert (chosen.name, chosen.p, chosen.trusted) == \
         (expected.name, expected.p, expected.trusted)
     assert [m.tobytes() for m in chosen.members] == [m.tobytes() for m in expected.members]
+
+
+def _random_state(n, rng, pure):
+    if not pure:
+        return random_density_matrix(n, rng)
+    return DensityMatrix.from_statevector(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes, seeds, st.booleans(), st.booleans())
+def test_fidelity_of_physical_states_is_bounded_symmetric_and_one_on_itself(
+        n, seed, rho_pure, sigma_pure):
+    rng = np.random.default_rng(seed)
+    rho, sigma = _random_state(n, rng, rho_pure), _random_state(n, rng, sigma_pure)
+    f = fidelity(rho, sigma)
+    assert 0 <= f <= 1 + FIDELITY_SLACK
+    assert abs(f - fidelity(sigma, rho)) <= 1e-6
+    assert abs(fidelity(rho, rho) - 1) <= 1e-6

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pqst import qcore
 from pqst.qcore import (DensityMatrix, HADAMARD, HS, ID2, PHASE_S, QcoreError,
                         dag, fidelity, fidelity_with_clip, jacobi_eigh, kron_all,
-                        load_density_matrix, matrix_sqrt_psd, save_density_matrix,
-                        spawn_rng)
+                        load_density_matrix, save_density_matrix, spawn_rng)
+from pqst.ensembles import zeta_m_active, zeta_x
 from pqst.golden import random_density_matrix
+from pqst.shadow import reconstruct_state
 from conftest import random_hermitian
 
 
@@ -33,10 +35,49 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_matrix_sqrt_psd(rng):
-    rho = random_density_matrix(2, rng)
-    s = matrix_sqrt_psd(rho.mat)
-    assert np.abs(s @ s - rho.mat).max() < 1e-10
+def test_density_matrix_keeps_its_decomposition(rng):
+    for n in range(1, 5):
+        d = 2**n
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for rho in (random_density_matrix(n, rng), DensityMatrix.from_statevector(psi)):
+            w, v = rho.eigenvalues, rho.eigenvectors
+            assert np.abs(v @ np.diag(w) @ dag(v) - rho.mat).max() < 1e-12
+            assert np.abs(dag(v) @ v - np.eye(d)).max() < 1e-12
+            assert np.all(np.diff(w) >= 0)
+            assert rho.validation_residuals["min_eigenvalue"] == w[0]
+            root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dag(v)
+            assert np.abs(root @ root - rho.mat).max() < 1e-10
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """One entry per qcore.jacobi_eigh call, through every caller."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return jacobi_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "jacobi_eigh", counted)
+    return calls
+
+
+def test_a_state_and_a_fidelity_make_one_eigen_solve_each(solves, rng):
+    mat = random_density_matrix(3, rng).mat
+    sigma = random_density_matrix(3, rng).mat
+    solves.clear()
+    rho = DensityMatrix(mat)
+    assert len(solves) == 1
+    fidelity_with_clip(rho, sigma)
+    assert len(solves) == 2
+
+
+def test_sampled_4_qubit_reconstruction_makes_two_eigen_solves(solves):
+    sets = [zeta_x(4)] + [zeta_m_active(4, m) for m in (1, 2, 3)]
+    solves.clear()
+    rho = random_density_matrix(4, np.random.default_rng(8))
+    reconstruct_state(rho, sets, shots=10_000, seed=8)
+    assert len(solves) == 2
 
 
 def test_tensor_product_dimension_cap():
