@@ -8,7 +8,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qcore import DensityMatrix, born_table, spawn_rng
+from .qcore import DensityMatrix, born_table, kron_all, spawn_rng
 from .operators import Observable, PAULI_1Q, activity_support, expectation, \
     parse_observable, pattern_qubits
 from .ensembles import UnitaryEnsemble, parse_ensemble_spec, zeta_union, zeta_x
@@ -94,21 +94,21 @@ for _i, _z in ((0, 0.05 + 0.02j), (1, 0.04 + 0.03j), (2, 0.03 + 0.01j), (3, 0.06
     _RHO3X[_i, 7 - _i] = _z
     _RHO3X[7 - _i, _i] = _z.conjugate()
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
+_KET0 = np.array([[1.0], [0.0]], dtype=complex)  # columns, as kron_all takes 2-D factors
+_KET1 = np.array([[0.0], [1.0]], dtype=complex)
 _IZ, _IX, _IY = PAULI_1Q["Z"] / 2, PAULI_1Q["X"] / 2, PAULI_1Q["Y"] / 2
 
 
 def _product_state(theta1, theta2):
     a = cos(theta1) * _KET1 + sin(theta1) * _KET0
     b = cos(theta2) * _KET1 + sin(theta2) * _KET0
-    return DensityMatrix.from_statevector(np.kron(a, b))
+    return DensityMatrix.from_statevector(kron_all(a, b))
 
 
 def _mixed_product(shrink, r1, r2):
     """The product of the qubit states 1/2 - shrink r1 and 1/2 - shrink r2."""
     one = np.eye(2, dtype=complex)
-    return DensityMatrix(np.kron(one / 2 - shrink * r1, one / 2 - shrink * r2))
+    return DensityMatrix(kron_all(one / 2 - shrink * r1, one / 2 - shrink * r2))
 
 
 def _table2_v():

@@ -6,11 +6,13 @@ work the Clifford ensemble is represented by the stabilizer measurement bases
 (15 at n=2, 135 at n=3): uniform Clifford sampling pushes forward to the
 uniform distribution over those bases, and a shadow snapshot depends on U only
 through the basis {U^dag|k>}. Each basis belongs to a maximal commuting class
-of Pauli words, i.e. a maximal isotropic subspace of F_2^{2n}, enumerated on
-integer bitmasks. Its vectors come from the rank-1 joint-eigenspace projectors
-prod_j (1 +- P_j)/2 of n independent generators P_j of the class, so no
-eigensolver is involved. The MUBs are the bases of 2^n+1 classes that
-partition the nontrivial Pauli words.
+of Pauli words, i.e. a maximal isotropic subspace of F_2^{2n}, built directly
+from a row-echelon subspace R of F_2^n and a symmetric matrix S over its pivots
+(Aaronson and Gottesman, PRA 70, 052328 (2004)). Its vectors come from the
+rank-1 joint-eigenspace projectors prod_j (1 +- P_j)/2 of n independent
+generators P_j of the class, batched over chunks of classes, so no eigensolver
+is involved. The MUBs are the bases of 2^n+1 classes that partition the
+nontrivial Pauli words.
 """
 
 from __future__ import annotations
@@ -197,14 +199,6 @@ def enumerate_clifford_group(n: int) -> tuple:
 # Pauli word is an interleaved bitmask: bit 2i is the x bit and bit 2i+1 the
 # z bit of qubit i+1. Classes leave this module as sorted tuples of bit tuples.
 
-_X_BITS = int("01" * 8, 2)  # the x bit of every qubit, for n <= 8
-
-
-def _anticommute(a: int, b: int) -> int:
-    """Symplectic product of two Pauli bitmasks: 1 iff the words anticommute."""
-    return (((a & (b >> 1)) ^ (b & (a >> 1))) & _X_BITS).bit_count() & 1
-
-
 def _bits(v: int, nn: int) -> tuple:
     return tuple((v >> j) & 1 for j in range(nn))
 
@@ -227,54 +221,76 @@ def _pauli_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def maximal_isotropic_subspaces(n: int) -> tuple:
     """All maximal isotropic subspaces of F_2^{2n}, each as a sorted tuple of
-    nonzero vectors (interleaved x,z bit tuples)."""
-    nn = 2 * n
-    found = set()
+    nonzero vectors (interleaved x,z bit tuples): {(x, Sx + w) : x in R,
+    w in R^perp} for each row-echelon subspace R of F_2^n and symmetric S over
+    its k pivots, so sum_k [n choose k]_2 2^{k(k+1)/2} of them (3, 15, 135,
+    2295; Aaronson and Gottesman, PRA 70, 052328 (2004))."""
+    # x bit i (qubit i+1) moves to interleaved bit 2i; a z part is shifted by 1
+    spread = [sum(((x >> i) & 1) << (2 * i) for i in range(n)) for x in range(1 << n)]
+    found = []
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n)
+                    if c not in pivots]
+            pairs = list(itertools.combinations_with_replacement(range(k), 2))
+            for bits in itertools.product((0, 1), repeat=len(free) + len(pairs)):
+                rows, z = [1 << p for p in pivots], [0] * k
+                for (i, c), b in zip(free, bits):
+                    rows[i] |= b << c
+                for (i, j), b in zip(pairs, bits[len(free):]):
+                    z[i] |= b << pivots[j]
+                    z[j] |= b << pivots[i]
+                perp = [spread[w] << 1 for w in range(1, 1 << n)
+                        if not any((w & r).bit_count() & 1 for r in rows)]
+                span = {0}
+                for v in [spread[r] | spread[q] << 1 for r, q in zip(rows, z)] + perp:
+                    if v not in span:
+                        span |= {s ^ v for s in span}
+                found.append(tuple(sorted(_bits(v, 2 * n) for v in span if v)))
+    return tuple(sorted(found))
 
-    def rec(gens, start, span):
-        if len(gens) == n:
-            found.add(frozenset(span))
-            return
-        for v in range(start, 1 << nn):
-            if v not in span and not any(_anticommute(v, g) for g in gens):
-                rec(gens + [v], v + 1, span | {s ^ v for s in span})
 
-    rec([], 1, {0})
-    return tuple(sorted(tuple(sorted(_bits(v, nn) for v in cls if v)) for cls in found))
+_CHUNK = 16  # classes whose projectors are multiplied at once; bounds the stack
 
 
-def _class_basis(cls, n: int) -> np.ndarray:
-    """Measurement unitary (rows = <basis vector|) of a maximal commuting class.
+def _class_bases(classes, n: int) -> tuple:
+    """Measurement unitaries (rows = <basis vector|) of maximal commuting classes.
 
     Each basis vector spans a rank-1 joint-eigenspace projector
-    prod_j (1 +- P_j)/2 of n independent generators P_j of the class. Rows are
-    in ascending eigenvalue of sum_i 3^i P_i over the class in sorted order;
-    the weights make those eigenvalues distinct.
+    prod_j (1 +- P_j)/2 of n independent generators P_j of its class, formed
+    for a chunk of classes in one batched product; the entries are dyadic, so
+    exact. Rows are in ascending eigenvalue of sum_i 3^i P_i over the class in
+    sorted order; the weights make those eigenvalues distinct.
     """
     paulis = _pauli_table(n)
-    masks = [_mask(v) for v in cls]
+    masks = np.array([[_mask(v) for v in cls] for cls in classes])
+    # a sorted class lists its span in the binary order of the coefficients over
+    # a reduced basis, so the words at positions 2^j - 1 are independent
+    gens = masks[:, [2**j - 1 for j in range(n)]]
     half = np.eye(2**n) / 2
-    proj = np.eye(2**n, dtype=complex)[None]
-    span = {0}
-    for v in masks:
-        if v not in span:
-            span |= {s ^ v for s in span}
-            proj = np.concatenate([proj @ (half + paulis[v] / 2), proj @ (half - paulis[v] / 2)])
-    # proj[t] = |psi><psi| has column c = psi conj(psi_c): take the column at
-    # the largest diagonal entry |psi_c|^2 and divide by |psi_c|
-    rows = np.arange(len(proj))
-    diag = proj.diagonal(axis1=1, axis2=2).real
-    c = diag.argmax(axis=1)
-    psi = proj[rows, :, c] / np.sqrt(diag[rows, c])[:, None]
-    weighted = np.tensordot(3.0 ** np.arange(len(masks)), paulis[masks], axes=1)
-    eig = np.einsum("ti,ij,tj->t", psi.conj(), weighted, psi).real
-    return psi[np.argsort(eig)].conj()
+    weights = 3.0 ** np.arange(masks.shape[1])
+    members = []
+    for lo in range(0, len(classes), _CHUNK):
+        proj = np.eye(2**n, dtype=complex)[None, None]
+        for g in gens[lo:lo + _CHUNK].T:
+            p = paulis[g][:, None] / 2
+            proj = np.concatenate([proj @ (half + p), proj @ (half - p)], axis=1)
+        # proj[., t] = |psi><psi| has column c = psi conj(psi_c): take the
+        # column at the largest diagonal entry |psi_c|^2 and divide by |psi_c|
+        diag = proj.diagonal(axis1=2, axis2=3).real
+        c = diag.argmax(axis=2)[..., None]
+        psi = (np.take_along_axis(proj, c[..., None], axis=3)[..., 0]
+               / np.sqrt(np.take_along_axis(diag, c, axis=2)))
+        weighted = np.einsum("i,ciab->cab", weights, paulis[masks[lo:lo + _CHUNK]])
+        eig = np.einsum("cta,cab,ctb->ct", psi.conj(), weighted, psi).real
+        members += list(np.take_along_axis(psi, eig.argsort(axis=1)[..., None], axis=1).conj())
+    return tuple(members)
 
 
 @lru_cache(maxsize=None)
 def stabilizer_basis_unitaries(n: int) -> tuple:
     """Measurement unitaries U (rows = basis vectors) for every stabilizer basis."""
-    return tuple(_class_basis(cls, n) for cls in maximal_isotropic_subspaces(n))
+    return _class_bases(maximal_isotropic_subspaces(n), n)
 
 
 def clifford_ensemble(n: int) -> UnitaryEnsemble:
@@ -313,9 +329,8 @@ def mub_ensemble(n: int) -> UnitaryEnsemble:
     """2^n+1 mutually unbiased basis-change unitaries; depolarizing inverse."""
     if n > 3:
         raise EnsembleError("MUB ensemble supported only for n <= 3")
-    members = tuple(_class_basis(cls, n) for cls in mub_partition(n))
     return UnitaryEnsemble(
-        name="mub", n=n, members=members, p=float(2**n + 1),
+        name="mub", n=n, members=_class_bases(mub_partition(n), n), p=float(2**n + 1),
         inverse_kind="global-depolarizing", trusted=frozenset(range(2**n)),
     )
 

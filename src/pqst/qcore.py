@@ -43,9 +43,13 @@ def num_qubits(mat: np.ndarray) -> int:
 
 
 def kron_all(*mats: np.ndarray) -> np.ndarray:
+    """Tensor product of 2-D factors: per step the products np.kron forms, in
+    its order, without its axis bookkeeping."""
     out = np.eye(1, dtype=complex)
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
+            len(out) * len(m), -1)
     if out.shape[0] > MAX_DIM:
         raise QcoreError(f"tensor product dimension {out.shape[0]} exceeds {MAX_DIM}")
     return out

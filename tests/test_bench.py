@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from pqst import bench
 from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, METHODS,
                         MseResult, bench_rows, method_ensembles,
                         fit_scaling, load_fixture, measurement_models,
@@ -54,6 +57,23 @@ def test_table2_fixture_builds_only_its_own_state(name, monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__init__", counting_init)
     assert load_fixture(name).state is not None
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", ["table2-i", "table2-ii", "table2-iii", "table2-iv"])
+def test_table2_product_fixtures_keep_np_kron_bytes(name, monkeypatch):
+    """The product fixtures take their tensor product from qcore.kron_all, and
+    their matrices keep the bytes of a direct np.kron of the two factors."""
+    built = load_fixture(name).state.mat
+    calls = []
+
+    def direct_kron(*mats):
+        calls.append(len(mats))
+        return reduce(np.kron, mats)
+
+    monkeypatch.setattr(bench, "kron_all", direct_kron)
+    direct = load_fixture(name).state.mat
+    assert calls == [2]
+    assert (built.shape, built.tobytes()) == (direct.shape, direct.tobytes())
 
 
 def test_rho2x_entries_as_printed():

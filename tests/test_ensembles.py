@@ -117,6 +117,41 @@ def test_isotropic_subspace_counts():
     assert len(maximal_isotropic_subspaces(3)) == 135
 
 
+def _anticommute(a, b):
+    """Symplectic product of two interleaved Pauli bitmasks (bit 2i the x bit,
+    bit 2i+1 the z bit of qubit i+1): 1 iff the words anticommute."""
+    x_bits = int("01" * 4, 2)
+    return (((a & (b >> 1)) ^ (b & (a >> 1))) & x_bits).bit_count() & 1
+
+
+def _gaussian_binomial(n, k):
+    """[n choose k]_2: the number of k-dimensional subspaces of F_2^n."""
+    num = den = 1
+    for i in range(k):
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_isotropic_subspaces_are_the_stabilizer_count_of_distinct_classes(n):
+    classes = maximal_isotropic_subspaces(n)
+    assert len(classes) == sum(_gaussian_binomial(n, k) * 2 ** (k * (k + 1) // 2)
+                               for k in range(n + 1))
+    assert len(set(classes)) == len(classes)
+    for cls in classes:
+        masks = [ensembles._mask(v) for v in cls]
+        assert len(set(masks)) == len(masks) == 2**n - 1 and 0 not in masks
+        # the words at positions 2^j - 1, the stabilizer bases' generators,
+        # span the class, so it is a subspace and they are independent
+        span = {0}
+        for j in range(n):
+            span |= {s ^ masks[2**j - 1] for s in span}
+        assert span == set(masks) | {0}
+        assert not any(_anticommute(a, b)
+                       for a, b in itertools.combinations(masks, 2))
+
+
 def test_stabilizer_basis_unitaries_unitary():
     for u in stabilizer_basis_unitaries(2):
         assert is_unitary(u, tol=1e-9)
@@ -292,6 +327,42 @@ def test_stabilizer_and_mub_rows_are_ordered_joint_eigenvectors(n):
             signs.append(eig)
         weighted = np.tensordot(3.0 ** np.arange(len(cls)), np.array(signs), axes=1)
         assert np.all(np.diff(weighted) > 1)
+
+
+def _class_basis_oracle(cls, n):
+    """One class's measurement unitary, built on its own as ensembles did before
+    the bases were batched: the rank-1 projectors prod_j (1 +- P_j)/2 of the
+    greedy independent words in sorted order, the column at the largest
+    diagonal entry, rows in ascending eigenvalue of sum_i 3^i P_i."""
+    paulis = ensembles._pauli_table(n)
+    masks = [ensembles._mask(v) for v in cls]
+    half = np.eye(2**n) / 2
+    proj = np.eye(2**n, dtype=complex)[None]
+    span = {0}
+    for v in masks:
+        if v not in span:
+            span |= {s ^ v for s in span}
+            proj = np.concatenate([proj @ (half + paulis[v] / 2), proj @ (half - paulis[v] / 2)])
+    rows = np.arange(len(proj))
+    diag = proj.diagonal(axis1=1, axis2=2).real
+    c = diag.argmax(axis=1)
+    psi = proj[rows, :, c] / np.sqrt(diag[rows, c])[:, None]
+    weighted = np.tensordot(3.0 ** np.arange(len(masks)), paulis[masks], axes=1)
+    eig = np.einsum("ti,ij,tj->t", psi.conj(), weighted, psi).real
+    return psi[np.argsort(eig)].conj()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stabilizer_and_mub_members_match_the_per_class_oracle_bytes(n):
+    """The multinomial draws move with the last bits of the members, so the
+    batched bases must be the per-class construction's to the bit."""
+    for classes, ens in ((maximal_isotropic_subspaces(n), clifford_ensemble(n)),
+                         (mub_partition(n), mub_ensemble(n))):
+        assert len(ens.members) == len(classes)
+        for cls, u in zip(classes, ens.members):
+            oracle = _class_basis_oracle(cls, n)
+            assert (u.shape, u.dtype, u.tobytes()) == (oracle.shape, oracle.dtype,
+                                                      oracle.tobytes())
 
 
 def _dag_stack(a):

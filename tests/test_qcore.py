@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pqst.qcore import (DensityMatrix, HADAMARD, HS, ID2, PHASE_S, QcoreError,
                         dag, fidelity, fidelity_with_clip, jacobi_eigh, kron_all,
                         load_density_matrix, save_density_matrix, spawn_rng)
 from pqst.ensembles import zeta_m_active, zeta_x
+from pqst.operators import PAULI_1Q
 from pqst.golden import random_density_matrix
 from pqst.shadow import reconstruct_state
 from conftest import random_hermitian
@@ -84,6 +87,19 @@ def test_tensor_product_dimension_cap():
     assert kron_all(*(ID2,) * 4).shape == (16, 16)
     with pytest.raises(QcoreError):
         kron_all(*(ID2,) * 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tensor_product_bytes_match_np_kron_chain(n):
+    """Ensemble members and observables inherit kron_all's bytes, and the
+    multinomial draws move with their last bits; so the product must be the
+    np.kron chain's to the bit, on every {1,H,HS} word and every Pauli word."""
+    sites = [ID2, HADAMARD, HS], list(PAULI_1Q.values())
+    for site in sites:
+        for word in itertools.product(site, repeat=n):
+            chain = reduce(np.kron, word, np.eye(1, dtype=complex))
+            product = kron_all(*word)
+            assert (product.shape, product.tobytes()) == (chain.shape, chain.tobytes())
 
 
 def test_density_matrix_validation():
