@@ -226,7 +226,7 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
             continue
         probs = (cell_probabilities(ens, state) / ens.size).ravel()
         part = apply_inverse(ens, sum(t.matrix() for t in terms))
-        values = born_table(np.stack(ens.members), part).real.ravel()
+        values = born_table(ens.members, part).real.ravel()
         models.append(_merge_cells(ens, probs / probs.sum(), values, part))
     if not models:
         raise CoverageError("no measurement model owns any observable term")

@@ -7,8 +7,8 @@ import numpy as np
 from .qcore import DensityMatrix, born_table
 from .ensembles import UnitaryEnsemble
 
-# Members per batch in forward_channel_exact: stacking all 11,520 elements of
-# the n=2 Clifford closure at once costs several MB of peak memory.
+# Members per batch in forward_channel_exact: conjugating all 11,520 elements
+# of the n=2 Clifford closure at once costs several MB of peak memory.
 _CHUNK = 1024
 
 
@@ -26,7 +26,7 @@ def forward_channel_exact(ensemble: UnitaryEnsemble, rho) -> np.ndarray:
     d = mat.shape[0]
     out = np.zeros((d, d), dtype=complex)
     for start in range(0, ensemble.size, _CHUNK):
-        u = np.asarray(ensemble.members[start:start + _CHUNK])
+        u = ensemble.members[start:start + _CHUNK]
         weights = born_table(u, mat).real
         out += np.einsum("ck,cki,ckj->ij", weights, u.conj(), u)
     return out / ensemble.size
@@ -59,14 +59,13 @@ def _per_site_inverse_map(n: int, a: np.ndarray) -> np.ndarray:
 
 def apply_inverse(ensemble: UnitaryEnsemble, a) -> np.ndarray:
     """The ensemble's inverse map M^{-1}(A) on the last two axes of a stack,
-    linear in A. The pseudo-inverse and the global depolarizing inverse are both
-    pA - Tr(A) 1 (Clifford and MUB sets carry p = 2^n + 1). Every kind is
-    self-adjoint, so Tr(O M^{-1}(S)) = Tr(M^{-1}(O) S) for any O and S."""
+    linear in A: pA - Tr(A) 1, which is both the pseudo-inverse and the global
+    depolarizing inverse (Clifford and MUB sets carry p = 2^n + 1), or
+    3A - Tr(A) 1 on every site when p is None. Both are self-adjoint, so
+    Tr(O M^{-1}(S)) = Tr(M^{-1}(O) S) for any O and S."""
     a = np.asarray(a, dtype=complex)
-    if ensemble.inverse_kind == "per-site-pauli":
+    if ensemble.p is None:
         return _per_site_inverse_map(ensemble.n, a)
-    if ensemble.inverse_kind in ("pseudo", "global-depolarizing"):
-        traces = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
-        return ensemble.p * a - traces * np.eye(a.shape[-1])
-    raise ChannelError(f"unknown inverse kind {ensemble.inverse_kind!r}")
+    traces = np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+    return ensemble.p * a - traces * np.eye(a.shape[-1])
 

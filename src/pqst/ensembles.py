@@ -1,18 +1,20 @@
 """Measurement ensembles: PQST subsets, local Pauli, global Clifford, MUBs.
 
-PQST sets are explicit lists of {1,H,HS} tensor words. The global Clifford
-group is enumerated exactly by closure for n <= 2. For channel and benchmark
-work the Clifford ensemble is represented by the stabilizer measurement bases
-(15 at n=2, 135 at n=3): uniform Clifford sampling pushes forward to the
-uniform distribution over those bases, and a shadow snapshot depends on U only
-through the basis {U^dag|k>}. Each basis belongs to a maximal commuting class
-of Pauli words, i.e. a maximal isotropic subspace of F_2^{2n}, built directly
-from a row-echelon subspace R of F_2^n and a symmetric matrix S over its pivots
-(Aaronson and Gottesman, PRA 70, 052328 (2004)). Its vectors come from the
-rank-1 joint-eigenspace projectors prod_j (1 +- P_j)/2 of n independent
-generators P_j of the class, batched over chunks of classes, so no eigensolver
-is involved. The MUBs are the bases of 2^n+1 classes that partition the
-nontrivial Pauli words.
+An ensemble is a name, its members as one (size, d, d) stack, the strength p
+of its inverse map pA - Tr(A) 1 (None: 3A - Tr(A) 1 on every qubit) and the
+activity patterns it trusts. PQST sets are explicit lists of {1,H,HS} tensor
+words. The global Clifford group is enumerated exactly by closure for n <= 2.
+For channel and benchmark work the Clifford ensemble (n <= 4) is represented
+by the stabilizer measurement bases (15 at n=2, 135 at n=3, 2295 at n=4):
+uniform Clifford sampling pushes forward to the uniform distribution over those
+bases, and a shadow snapshot depends on U only through the basis {U^dag|k>}.
+Each basis belongs to a maximal commuting class of Pauli words, i.e. a maximal
+isotropic subspace of F_2^{2n}, built directly from a row-echelon subspace R of
+F_2^n and a symmetric matrix S over its pivots (Aaronson and Gottesman, PRA 70,
+052328 (2004)). Its vectors come from the rank-1 joint-eigenspace projectors
+prod_j (1 +- P_j)/2 of n independent generators P_j of the class, batched over
+chunks of classes, so no eigensolver is involved. The MUBs (n <= 3) are the
+bases of 2^n+1 classes that partition the nontrivial Pauli words.
 """
 
 from __future__ import annotations
@@ -34,16 +36,19 @@ class EnsembleError(ValueError):
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
-    """A finite unitary set with its pseudo-inverse strength and the activity
-    patterns (operators.pattern_mask) its estimator is exact on; 0 in `trusted`
-    means the diagonal is."""
+    """A finite unitary set: its members as one (size, d, d) stack, the
+    strength p of its inverse map pA - Tr(A) 1 (None selects 3A - Tr(A) 1 on
+    every qubit), and the activity patterns (operators.pattern_mask) its
+    estimator is exact on; 0 in `trusted` means the diagonal is."""
 
     name: str
-    n: int
-    members: tuple
+    members: np.ndarray
     p: float | None
-    inverse_kind: str  # 'pseudo' | 'global-depolarizing' | 'per-site-pauli'
     trusted: frozenset
+
+    @property
+    def n(self) -> int:
+        return self.members.shape[-1].bit_length() - 1
 
     @property
     def size(self) -> int:
@@ -75,7 +80,7 @@ _LOCAL = {"1": ID2, "H": HADAMARD, "HS": HS}
 
 
 def _word_members(words):
-    return tuple(kron_all(*(_LOCAL[w] for w in word)) for word in words)
+    return np.array([kron_all(*(_LOCAL[w] for w in word)) for word in words])
 
 
 def _zeta_words(n, subsets):
@@ -121,9 +126,8 @@ def zeta_union(n: int, subsets) -> UnitaryEnsemble:
         trusted.add(0)
     else:
         name = "|".join("zeta-A:" + ",".join(map(str, sorted(a))) for a in subsets)
-    return UnitaryEnsemble(
-        name=name, n=n, members=_word_members(words), p=float(len(words)),
-        inverse_kind="pseudo", trusted=frozenset(trusted))
+    return UnitaryEnsemble(name=name, members=_word_members(words), p=float(len(words)),
+                           trusted=frozenset(trusted))
 
 
 def zeta_x(n: int) -> UnitaryEnsemble:
@@ -147,9 +151,8 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
     if n > 4:
         raise EnsembleError("pauli ensemble limited to n <= 4")
     words = list(itertools.product(("1", "H", "HS"), repeat=n))
-    return UnitaryEnsemble(
-        name="pauli", n=n, members=_word_members(words), p=None,
-        inverse_kind="per-site-pauli", trusted=frozenset(range(2**n)))
+    return UnitaryEnsemble(name="pauli", members=_word_members(words), p=None,
+                           trusted=frozenset(range(2**n)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +163,9 @@ _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype
 
 
 @lru_cache(maxsize=None)
-def enumerate_clifford_group(n: int) -> tuple:
-    """All elements of Cl(2^n) modulo global phase, by closure of generators.
+def enumerate_clifford_group(n: int) -> np.ndarray:
+    """All elements of Cl(2^n) modulo global phase, by closure of generators,
+    as one stack in breadth-first order.
 
     Each breadth-first layer multiplies batches of the frontier by every
     generator at once, in (frontier member, generator) order, and keys the
@@ -177,56 +181,52 @@ def enumerate_clifford_group(n: int) -> tuple:
         raise EnsembleError("closure enumeration supported only for n <= 2")
     d = 2**n
     gens = np.stack(gens)
-    eye = np.eye(d, dtype=complex)
-    frontier = eye[None]
-    seen = {_mat_keys(frontier)[0]: eye}
+    frontier = np.eye(d, dtype=complex)[None]
+    seen = set(_mat_keys(frontier))
+    layers = [frontier]
     while len(frontier):
         fresh = []
         # batches bound the product stack; a whole layer reaches 15,245 products
         for part in np.split(frontier, range(_BATCH, len(frontier), _BATCH)):
             prods = canonical_phase((gens[None] @ part[:, None]).reshape(-1, d, d))
-            for key, m in zip(_mat_keys(prods), prods):
+            new = []
+            for i, key in enumerate(_mat_keys(prods)):
                 if key not in seen:
-                    # a copy, so that no kept member pins the batch's product stack
-                    seen[key] = m.copy()
-                    fresh.append(seen[key])
-        frontier = np.array(fresh).reshape(-1, d, d)
-    return tuple(seen.values())
+                    seen.add(key)
+                    new.append(i)
+            fresh.append(prods[new])
+        frontier = np.concatenate(fresh)
+        layers.append(frontier)
+    return np.concatenate(layers)
 
 
 # ---------------------------------------------------------------------------
 # Stabilizer measurement bases and MUBs via maximal isotropic subspaces. A
-# Pauli word is an interleaved bitmask: bit 2i is the x bit and bit 2i+1 the
-# z bit of qubit i+1. Classes leave this module as sorted tuples of bit tuples.
-
-def _bits(v: int, nn: int) -> tuple:
-    return tuple((v >> j) & 1 for j in range(nn))
-
-
-def _mask(bits) -> int:
-    return sum(b << j for j, b in enumerate(bits))
-
+# Pauli word is an interleaved bitmask with qubit 1 most significant, as in
+# the computational-basis index: qubit q's x bit is bit 2(n - q) + 1 and its z
+# bit is bit 2(n - q). A class is a sorted tuple of these ints.
 
 @lru_cache(maxsize=None)
 def _pauli_table(n: int) -> np.ndarray:
-    """The Hermitian Pauli i^{x.z} X^x Z^z of every bitmask, indexed by the mask."""
-    one = np.stack([PAULI_1Q["I"], PAULI_1Q["X"], PAULI_1Q["Z"], PAULI_1Q["Y"]])
+    """The Hermitian Pauli i^{x.z} X^x Z^z of every bitmask, indexed by the
+    mask: the Kronecker-ordered table of [I, Z, X, Y] over the qubits."""
+    one = np.stack([PAULI_1Q["I"], PAULI_1Q["Z"], PAULI_1Q["X"], PAULI_1Q["Y"]])
     table = np.ones((1, 1, 1), dtype=complex)
     for k in range(1, n + 1):
-        # prepend a qubit: the new leftmost factor owns the two lowest mask bits
-        table = np.einsum("aij,bkl->baikjl", one, table).reshape(4**k, 2**k, 2**k)
+        table = np.einsum("aij,bkl->abikjl", table, one).reshape(4**k, 2**k, 2**k)
     return table
 
 
 @lru_cache(maxsize=None)
 def maximal_isotropic_subspaces(n: int) -> tuple:
     """All maximal isotropic subspaces of F_2^{2n}, each as a sorted tuple of
-    nonzero vectors (interleaved x,z bit tuples): {(x, Sx + w) : x in R,
-    w in R^perp} for each row-echelon subspace R of F_2^n and symmetric S over
-    its k pivots, so sum_k [n choose k]_2 2^{k(k+1)/2} of them (3, 15, 135,
-    2295; Aaronson and Gottesman, PRA 70, 052328 (2004))."""
-    # x bit i (qubit i+1) moves to interleaved bit 2i; a z part is shifted by 1
-    spread = [sum(((x >> i) & 1) << (2 * i) for i in range(n)) for x in range(1 << n)]
+    nonzero Pauli bitmasks: {(x, Sx + w) : x in R, w in R^perp} for each
+    row-echelon subspace R of F_2^n and symmetric S over its k pivots, so
+    sum_k [n choose k]_2 2^{k(k+1)/2} of them (3, 15, 135, 2295; Aaronson and
+    Gottesman, PRA 70, 052328 (2004))."""
+    # bit i of x (qubit i+1) moves to that qubit's x bit; a z part is shifted by 1
+    spread = [sum(((x >> i) & 1) << (2 * (n - i) - 1) for i in range(n))
+              for x in range(1 << n)]
     found = []
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
@@ -240,20 +240,20 @@ def maximal_isotropic_subspaces(n: int) -> tuple:
                 for (i, j), b in zip(pairs, bits[len(free):]):
                     z[i] |= b << pivots[j]
                     z[j] |= b << pivots[i]
-                perp = [spread[w] << 1 for w in range(1, 1 << n)
+                perp = [spread[w] >> 1 for w in range(1, 1 << n)
                         if not any((w & r).bit_count() & 1 for r in rows)]
                 span = {0}
-                for v in [spread[r] | spread[q] << 1 for r, q in zip(rows, z)] + perp:
+                for v in [spread[r] | spread[q] >> 1 for r, q in zip(rows, z)] + perp:
                     if v not in span:
                         span |= {s ^ v for s in span}
-                found.append(tuple(sorted(_bits(v, 2 * n) for v in span if v)))
+                found.append(tuple(sorted(v for v in span if v)))
     return tuple(sorted(found))
 
 
 _CHUNK = 16  # classes whose projectors are multiplied at once; bounds the stack
 
 
-def _class_bases(classes, n: int) -> tuple:
+def _class_bases(classes, n: int) -> np.ndarray:
     """Measurement unitaries (rows = <basis vector|) of maximal commuting classes.
 
     Each basis vector spans a rank-1 joint-eigenspace projector
@@ -263,13 +263,13 @@ def _class_bases(classes, n: int) -> tuple:
     sorted order; the weights make those eigenvalues distinct.
     """
     paulis = _pauli_table(n)
-    masks = np.array([[_mask(v) for v in cls] for cls in classes])
+    masks = np.array(classes)
     # a sorted class lists its span in the binary order of the coefficients over
     # a reduced basis, so the words at positions 2^j - 1 are independent
     gens = masks[:, [2**j - 1 for j in range(n)]]
     half = np.eye(2**n) / 2
     weights = 3.0 ** np.arange(masks.shape[1])
-    members = []
+    members = np.empty((len(classes), 2**n, 2**n), dtype=complex)
     for lo in range(0, len(classes), _CHUNK):
         proj = np.eye(2**n, dtype=complex)[None, None]
         for g in gens[lo:lo + _CHUNK].T:
@@ -283,25 +283,23 @@ def _class_bases(classes, n: int) -> tuple:
                / np.sqrt(np.take_along_axis(diag, c, axis=2)))
         weighted = np.einsum("i,ciab->cab", weights, paulis[masks[lo:lo + _CHUNK]])
         eig = np.einsum("cta,cab,ctb->ct", psi.conj(), weighted, psi).real
-        members += list(np.take_along_axis(psi, eig.argsort(axis=1)[..., None], axis=1).conj())
-    return tuple(members)
+        members[lo:lo + _CHUNK] = np.take_along_axis(
+            psi, eig.argsort(axis=1)[..., None], axis=1).conj()
+    return members
 
 
 @lru_cache(maxsize=None)
-def stabilizer_basis_unitaries(n: int) -> tuple:
+def stabilizer_basis_unitaries(n: int) -> np.ndarray:
     """Measurement unitaries U (rows = basis vectors) for every stabilizer basis."""
     return _class_bases(maximal_isotropic_subspaces(n), n)
 
 
 def clifford_ensemble(n: int) -> UnitaryEnsemble:
     """Global-Clifford measurement, reduced to the uniform stabilizer-basis mix."""
-    if n > 3:
-        raise EnsembleError("clifford ensemble supported only for n <= 3")
-    return UnitaryEnsemble(
-        name="clifford", n=n, members=stabilizer_basis_unitaries(n),
-        p=float(2**n + 1), inverse_kind="global-depolarizing",
-        trusted=frozenset(range(2**n)),
-    )
+    if n > MAX_QUBITS:
+        raise EnsembleError(f"clifford ensemble supported only for n <= {MAX_QUBITS}")
+    return UnitaryEnsemble(name="clifford", members=stabilizer_basis_unitaries(n),
+                           p=float(2**n + 1), trusted=frozenset(range(2**n)))
 
 
 @lru_cache(maxsize=None)
@@ -329,10 +327,8 @@ def mub_ensemble(n: int) -> UnitaryEnsemble:
     """2^n+1 mutually unbiased basis-change unitaries; depolarizing inverse."""
     if n > 3:
         raise EnsembleError("MUB ensemble supported only for n <= 3")
-    return UnitaryEnsemble(
-        name="mub", n=n, members=_class_bases(mub_partition(n), n), p=float(2**n + 1),
-        inverse_kind="global-depolarizing", trusted=frozenset(range(2**n)),
-    )
+    return UnitaryEnsemble(name="mub", members=_class_bases(mub_partition(n), n),
+                           p=float(2**n + 1), trusted=frozenset(range(2**n)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +383,16 @@ def parse_ensemble_list(text: str, n: int) -> list:
 def ensemble_info(ens: UnitaryEnsemble) -> str:
     sig = [pattern_qubits(m, ens.n)
            for m in sorted(ens.trusted, key=lambda m: pattern_order(m, ens.n)) if m]
+    if ens.p is None:
+        p, inverse = "per-site (3 per qubit)", "3A - Tr(A) 1 on every qubit"
+    else:
+        p, inverse = ens.p, "pA - Tr(A) 1"
     lines = [
         f"name: {ens.name}",
         f"n_qubits: {ens.n}",
         f"members: {ens.size}",
-        f"p: {ens.p if ens.p is not None else 'per-site (3 per qubit)'}",
-        f"inverse: {ens.inverse_kind}",
+        f"p: {p}",
+        f"inverse: {inverse}",
         f"activity signature: {[''.join(map(str, s)) for s in sig]}",
         f"diagonal trusted: {0 in ens.trusted}",
     ]

@@ -143,10 +143,9 @@ class DensityMatrix:
         return 2**self.n
 
 
-def born_table(members, x) -> np.ndarray:
-    """<k|U x U^dag|k> for each stacked member U (rows) and outcome k (columns)."""
-    u = np.asarray(members)
-    return np.einsum("cki,ij,ckj->ck", u, x, u.conj())
+def born_table(members: np.ndarray, x) -> np.ndarray:
+    """<k|U x U^dag|k> for each member U of a stack (rows) and outcome k (columns)."""
+    return np.einsum("cki,ij,ckj->ck", members, x, members.conj())
 
 
 # ---------------------------------------------------------------------------

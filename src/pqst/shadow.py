@@ -31,7 +31,7 @@ class PartialShadowEstimator:
 def cell_probabilities(ensemble: UnitaryEnsemble, rho: DensityMatrix) -> np.ndarray:
     """Born probabilities <k|U rho U^dag|k> of every member (rows) and outcome
     (columns), clipped at 0 and normalised per member."""
-    table = np.clip(born_table(np.stack(ensemble.members), rho.mat).real, 0.0, None)
+    table = np.clip(born_table(ensemble.members, rho.mat).real, 0.0, None)
     return table / table.sum(axis=1, keepdims=True)
 
 

@@ -32,12 +32,13 @@ def member_word(ens, member):
 
 
 def reference_snapshot(ens, member, k):
-    """M^{-1}(U^dag|k><k|U) of one cell, written out per inverse kind without
+    """M^{-1}(U^dag|k><k|U) of one cell, written out without
     channels.apply_inverse: the kron of 3|k_q><k_q| - 1 over the sites of a
-    local word (qubit 1 is the most significant bit of k), pseudo_inverse(p, P)
-    for the pseudo kind, and (2^n + 1)P - 1 for Clifford and MUB sets."""
+    local word (qubit 1 is the most significant bit of k) when p is None,
+    (2^n + 1)P - 1 for Clifford and MUB sets whatever their p, and
+    pseudo_inverse(p, P) for the zeta sets."""
     n, d = ens.n, 2**ens.n
-    if ens.inverse_kind == "per-site-pauli":
+    if ens.p is None:
         factors = []
         for q, w in enumerate(member_word(ens, member)):
             ket = _SITE[w].conj().T[:, (k >> (n - 1 - q)) & 1]
@@ -45,10 +46,9 @@ def reference_snapshot(ens, member, k):
         return kron_all(*factors)
     ket = ens.members[member].conj().T[:, k]
     proj = np.outer(ket, ket.conj())
-    if ens.inverse_kind == "pseudo":
-        return pseudo_inverse(ens.p, proj)
-    assert ens.inverse_kind == "global-depolarizing"
-    return (d + 1) * proj - np.eye(d)
+    if ens.name in ("clifford", "mub"):
+        return (d + 1) * proj - np.eye(d)
+    return pseudo_inverse(ens.p, proj)
 
 
 def reference_cells(ens, rho):

@@ -22,7 +22,7 @@ def test_depolarizing_inverse_inverts_channel(rng):
     for n in (1, 2, 3):
         a = random_density_matrix(n, rng).mat
         ens = mub_ensemble(n)
-        assert ens.inverse_kind == "global-depolarizing"
+        assert ens.p == 2**n + 1
         assert np.abs(apply_inverse(ens, depolarizing_channel(n, a)) - a).max() < 1e-12
         assert np.abs(depolarizing_channel(n, apply_inverse(ens, a)) - a).max() < 1e-12
 
@@ -55,8 +55,7 @@ def test_forward_channel_chunks_match_member_loop(rng):
     # 11,520 members: the chunk boundaries fall inside the member list
     group = enumerate_clifford_group(2)
     assert len(group) % channels._CHUNK != 0
-    ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
-                          frozenset(range(4)))
+    ens = UnitaryEnsemble("closure", group, 5.0, frozenset(range(4)))
     rho = random_density_matrix(2, rng).mat
     loop = np.zeros((4, 4), dtype=complex)
     for u in group:
@@ -77,13 +76,20 @@ def test_pseudo_inverse_unbiased_at_full_p(rng):
 def test_clifford_closure_channel_is_depolarizing(rng):
     rho = random_density_matrix(2, rng)
     group = enumerate_clifford_group(2)
-    ens = UnitaryEnsemble("closure", 2, group, 5.0, "global-depolarizing",
-                          frozenset(range(4)))
+    ens = UnitaryEnsemble("closure", group, 5.0, frozenset(range(4)))
     assert np.abs(forward_channel_exact(ens, rho)
                   - depolarizing_channel(2, rho.mat)).max() < 1e-10
     # the 15-basis reduction computes the same channel 768x faster
     assert np.abs(forward_channel_exact(clifford_ensemble(2), rho)
                   - depolarizing_channel(2, rho.mat)).max() < 1e-10
+
+
+def test_clifford_channel_is_depolarizing_at_n4(rng):
+    rho = random_density_matrix(4, rng)
+    ens = clifford_ensemble(4)
+    assert (ens.n, ens.size, ens.p) == (4, 2295, 17.0)
+    assert np.abs(forward_channel_exact(ens, rho)
+                  - depolarizing_channel(4, rho.mat)).max() <= 1e-10
 
 
 def test_per_site_pauli_inverse_factors(rng):
@@ -97,9 +103,6 @@ def test_per_site_pauli_inverse_factors(rng):
                        3 * c - np.trace(c) * np.eye(2))
     assert np.allclose(apply_inverse(pauli_local_ensemble(3), np.kron(np.kron(a, b), c)),
                        expected)
-    unknown = UnitaryEnsemble("bogus", 2, (), None, "bogus", frozenset())
-    with pytest.raises(ChannelError):
-        apply_inverse(unknown, np.eye(4))
 
 
 def test_per_site_inverse_recovers_rho_for_pauli_set(rng):

@@ -49,7 +49,7 @@ def test_zeta_A_is_the_one_subset_union():
                 single, union = zeta_A(n, a), zeta_union(n, [a])
                 for field in dataclasses.fields(single):
                     if field.name == "members":
-                        assert np.array_equal(np.stack(single.members), np.stack(union.members))
+                        assert np.array_equal(single.members, union.members)
                     else:
                         assert getattr(single, field.name) == getattr(union, field.name)
 
@@ -100,7 +100,7 @@ def test_zeta_validation_errors():
 def test_pauli_local_ensemble():
     ens = pauli_local_ensemble(2)
     assert ens.size == 9
-    assert ens.inverse_kind == "per-site-pauli"
+    assert ens.p is None
     assert ens.trusted == {0, 0b01, 0b10, 0b11}  # the diagonal, {2}, {1}, {1,2}
     assert all(is_unitary(m) for m in ens.members)
 
@@ -111,6 +111,15 @@ def test_clifford_closure_orders():
     assert len(enumerate_clifford_group(2)) == 11520
 
 
+def test_clifford_closure_bytes_pinned():
+    """The closure's elements in breadth-first order, pinned to the bit, as the
+    n=2 Clifford channel of `pqst validate` sums them in this order."""
+    group = enumerate_clifford_group(2)
+    assert (group.shape, group.dtype) == ((11520, 4, 4), np.complex128)
+    assert hashlib.sha256(group.tobytes()).hexdigest() == \
+        "d4288daa854098feca55d1ceb2fa1a5a619c5c9ea9a87267fc72f2e476fc90f9"
+
+
 def test_isotropic_subspace_counts():
     assert len(maximal_isotropic_subspaces(1)) == 3
     assert len(maximal_isotropic_subspaces(2)) == 15
@@ -118,10 +127,11 @@ def test_isotropic_subspace_counts():
 
 
 def _anticommute(a, b):
-    """Symplectic product of two interleaved Pauli bitmasks (bit 2i the x bit,
-    bit 2i+1 the z bit of qubit i+1): 1 iff the words anticommute."""
-    x_bits = int("01" * 4, 2)
-    return (((a & (b >> 1)) ^ (b & (a >> 1))) & x_bits).bit_count() & 1
+    """Symplectic product of two interleaved Pauli bitmasks (each qubit's x bit
+    directly above its z bit, which sits at an even position): 1 iff the words
+    anticommute."""
+    z_bits = int("01" * 4, 2)
+    return ((((a >> 1) & b) ^ (a & (b >> 1))) & z_bits).bit_count() & 1
 
 
 def _gaussian_binomial(n, k):
@@ -140,7 +150,7 @@ def test_isotropic_subspaces_are_the_stabilizer_count_of_distinct_classes(n):
                                for k in range(n + 1))
     assert len(set(classes)) == len(classes)
     for cls in classes:
-        masks = [ensembles._mask(v) for v in cls]
+        masks = list(cls)
         assert len(set(masks)) == len(masks) == 2**n - 1 and 0 not in masks
         # the words at positions 2^j - 1, the stabilizer bases' generators,
         # span the class, so it is a subspace and they are independent
@@ -176,10 +186,9 @@ def test_mub_partition_and_unbiasedness():
 def test_clifford_ensemble_reduction():
     ens = clifford_ensemble(2)
     assert ens.size == 15
-    assert ens.p == 5
-    assert ens.inverse_kind == "global-depolarizing"
+    assert ens.p == 2**2 + 1
     with pytest.raises(EnsembleError):
-        clifford_ensemble(4)
+        clifford_ensemble(5)
 
 
 def test_parse_ensemble_specs():
@@ -236,7 +245,7 @@ _SPEC_GRAMMAR = [
     ("zeta-A:2|zeta-A:1,1", 2, "active set [1, 1] names a qubit more than once"),
     ("zeta-A:1|zeta-A:1,2", 2, "union subsets must have equal cardinality"),
     ("zeta-A:1|zeta-A:b", 2, "ensemble spec 'zeta-A:b': 'b' is not a list of integers"),
-    ("clifford", 4, "clifford ensemble supported only for n <= 3"),
+    ("clifford", 4, ("clifford", 2295)),
     ("mub", 4, "MUB ensemble supported only for n <= 3"),
     ("zeta-X", 0, "n must be in 1..4, got 0"),
     ("mub", 0, "n must be in 1..4, got 0"),
@@ -269,14 +278,19 @@ def test_ensemble_info_text():
     assert "members: 13" in text
     assert "p: 13.0" in text
     assert "diagonal trusted: False" in text
+    assert "inverse: pA - Tr(A) 1" in text.splitlines()
+    text = ensemble_info(pauli_local_ensemble(2))
+    assert "p: per-site (3 per qubit)" in text.splitlines()
+    assert "inverse: 3A - Tr(A) 1 on every qubit" in text.splitlines()
 
 
 # ---------------------------------------------------------------------------
 # The cold Clifford / stabilizer / MUB layer.
 
-# SHA-256 of repr(maximal_isotropic_subspaces(n)), pinned from the earlier
-# int8-vector enumeration; the order of the subspaces fixes the member order
-# of clifford_ensemble.
+# SHA-256 of the repr of maximal_isotropic_subspaces(n) with each word as its
+# (x1, z1, x2, z2, ...) bit tuple, pinned from the earlier int8-vector
+# enumeration; the order of the subspaces fixes the member order of
+# clifford_ensemble.
 _ISOTROPIC_SHA256 = {
     1: "b9b7fc2f0933ee7e74867f5a7e6b61af6366c0dbe9dca9ae8fb8a72e4311e904",
     2: "1909fe840d4320b3963b411ba8f0055a6630c9b66ff3ae16a4b8eafea9a5a5a8",
@@ -284,17 +298,24 @@ _ISOTROPIC_SHA256 = {
 }
 
 
-def _pauli(v):
-    """Hermitian Pauli word of an interleaved (x, z) bit tuple, built site by site."""
+def _bit_tuples(classes, n):
+    """Each word of each class as its bit tuple, qubit 1's x bit first."""
+    return tuple(tuple(tuple((v >> (2 * n - 1 - j)) & 1 for j in range(2 * n)) for v in cls)
+                 for cls in classes)
+
+
+def _pauli(v, n):
+    """Hermitian Pauli word of an n-qubit bitmask, built site by site from its
+    (x, z) bit pairs, qubit 1's pair most significant."""
     names = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-    return reduce(np.kron, (PAULI_1Q[names[v[2 * i], v[2 * i + 1]]]
-                            for i in range(len(v) // 2)))
+    return reduce(np.kron, (PAULI_1Q[names[(v >> 2 * (n - q) + 1) & 1, (v >> 2 * (n - q)) & 1]]
+                            for q in range(1, n + 1)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_isotropic_subspaces_pinned(n):
-    digest = hashlib.sha256(repr(maximal_isotropic_subspaces(n)).encode()).hexdigest()
-    assert digest == _ISOTROPIC_SHA256[n]
+    rendered = _bit_tuples(maximal_isotropic_subspaces(n), n)
+    assert hashlib.sha256(repr(rendered).encode()).hexdigest() == _ISOTROPIC_SHA256[n]
 
 
 # the member order of the MUB ensemble, and with it the `mub` draws
@@ -307,8 +328,8 @@ _MUB_PARTITION_SHA256 = {
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mub_partition_pinned(n):
-    digest = hashlib.sha256(repr(mub_partition(n)).encode()).hexdigest()
-    assert digest == _MUB_PARTITION_SHA256[n]
+    rendered = _bit_tuples(mub_partition(n), n)
+    assert hashlib.sha256(repr(rendered).encode()).hexdigest() == _MUB_PARTITION_SHA256[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -320,7 +341,7 @@ def test_stabilizer_and_mub_rows_are_ordered_joint_eigenvectors(n):
         basis = dag(u)  # columns are the basis vectors
         signs = []
         for v in cls:
-            image = _pauli(v) @ basis
+            image = _pauli(v, n) @ basis
             eig = np.einsum("ik,ik->k", basis.conj(), image).real
             assert np.abs(np.abs(eig) - 1).max() < 1e-12
             assert np.abs(image - basis * eig).max() < 1e-12
@@ -335,7 +356,7 @@ def _class_basis_oracle(cls, n):
     greedy independent words in sorted order, the column at the largest
     diagonal entry, rows in ascending eigenvalue of sum_i 3^i P_i."""
     paulis = ensembles._pauli_table(n)
-    masks = [ensembles._mask(v) for v in cls]
+    masks = list(cls)
     half = np.eye(2**n) / 2
     proj = np.eye(2**n, dtype=complex)[None]
     span = {0}
@@ -371,7 +392,7 @@ def _dag_stack(a):
 
 def _conjugation_keys(unitaries, n):
     """Rounded images of X_j and Z_j under each U: equal iff the U agree up to phase."""
-    gens = [_pauli(tuple(int(b == k) for b in range(2 * n))) for k in range(2 * n)]
+    gens = [_pauli(1 << k, n) for k in range(2 * n)]
     images = np.stack([unitaries @ p @ _dag_stack(unitaries) for p in gens], axis=1)
     rounded = np.round(images.reshape(len(unitaries), -1), 6) + 0.0
     return [row.tobytes() for row in rounded]
@@ -379,7 +400,7 @@ def _conjugation_keys(unitaries, n):
 
 @pytest.mark.parametrize("n,order", [(1, 24), (2, 11520)])
 def test_clifford_closure_is_a_group_modulo_phase(n, order):
-    group = np.array(enumerate_clifford_group(n))
+    group = enumerate_clifford_group(n)
     assert len(group) == order
     assert np.abs(_dag_stack(group) @ group - np.eye(2**n)).max() < 1e-12
     keys = _conjugation_keys(group, n)
