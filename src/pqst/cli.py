@@ -80,7 +80,7 @@ def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
         if source in FIXTURE_NAMES:
             _fail(f"--state {source!r} names both the file {Path(source).resolve()} and "
                   f"the fixture {source!r}; pass the file as ./{source} or rename it", 2)
-        return Path(source).stem, load_density_matrix(source, relaxed=True)
+        return Path(source).stem, load_density_matrix(source)
     fixture = load_fixture(source)
     if fixture.state is None:
         raise BenchError(f"fixture {source!r} is an observable, not a state")

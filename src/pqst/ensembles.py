@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -64,13 +64,6 @@ def canonical_phase(stack: np.ndarray) -> np.ndarray:
     flat = stack.reshape(len(stack), -1)
     z = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
     return stack * (np.abs(z) / z)[:, None, None]
-
-
-def _mat_keys(stack: np.ndarray) -> list:
-    """Bytes keys of phase-canonical matrices rounded to 6 decimals; adding
-    0.0 folds -0.0 into 0.0, which would otherwise give a second key."""
-    rounded = np.round(stack.reshape(len(stack), -1), 6) + 0.0
-    return [row.tobytes() for row in rounded]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +151,9 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
 # ---------------------------------------------------------------------------
 # Clifford group: exact enumeration by closure (n <= 2).
 
-_BATCH = 512  # frontier members multiplied at once in the closure
+# Frontier members multiplied at once in the closure. Batches only partition
+# the frontier; their product temporaries set the closure's peak memory.
+_BATCH = 128
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
@@ -167,9 +162,12 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
     """All elements of Cl(2^n) modulo global phase, by closure of generators,
     as one stack in breadth-first order.
 
-    Each breadth-first layer multiplies batches of the frontier by every
-    generator at once, in (frontier member, generator) order, and keys the
-    phase-canonical products by the bytes of their rounded entries.
+    The stack is allocated at the group order 4^n |Sp(2n, 2)| = 2^(n^2+2n)
+    prod_j (4^j - 1) (24 and 11,520) and filled in place; each breadth-first
+    layer is the block filled by the one before. Batches of the frontier are
+    multiplied by every generator at once, in (frontier member, generator)
+    order. A phase-canonical product is new unless its entries rounded to 6
+    decimals, as exact int32 micro-units (-0.0 reads 0), have been seen.
     """
     if n == 1:
         gens = [HADAMARD, PHASE_S]
@@ -181,23 +179,27 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
         raise EnsembleError("closure enumeration supported only for n <= 2")
     d = 2**n
     gens = np.stack(gens)
-    frontier = np.eye(d, dtype=complex)[None]
-    seen = set(_mat_keys(frontier))
-    layers = [frontier]
-    while len(frontier):
-        fresh = []
-        # batches bound the product stack; a whole layer reaches 15,245 products
-        for part in np.split(frontier, range(_BATCH, len(frontier), _BATCH)):
-            prods = canonical_phase((gens[None] @ part[:, None]).reshape(-1, d, d))
+    group = np.empty((2**(n * n + 2 * n) * prod(4**j - 1 for j in range(1, n + 1)), d, d),
+                     dtype=complex)
+    group[0] = np.eye(d)
+    seen = {np.rint(group[0].view(np.float64) * 1e6).astype(np.int32).tobytes()}
+    start, end = 0, 1
+    while start < end:
+        size = end
+        for lo in range(start, end, _BATCH):
+            part = group[lo:min(lo + _BATCH, end), None]
+            prods = canonical_phase((gens[None] @ part).reshape(-1, d, d))
             new = []
-            for i, key in enumerate(_mat_keys(prods)):
+            for i, micro in enumerate(np.rint(prods.view(np.float64) * 1e6).astype(np.int32)):
+                key = micro.tobytes()
                 if key not in seen:
                     seen.add(key)
                     new.append(i)
-            fresh.append(prods[new])
-        frontier = np.concatenate(fresh)
-        layers.append(frontier)
-    return np.concatenate(layers)
+            group[size:size + len(new)] = prods[new]
+            size += len(new)
+        start, end = end, size
+    assert end == len(group)
+    return group
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,9 @@ def save_density_matrix(path, rho: DensityMatrix) -> None:
         fh.write("\n")
 
 
-def load_density_matrix(path, relaxed: bool = False) -> DensityMatrix:
+def load_density_matrix(path) -> DensityMatrix:
     """Read a density matrix file. A file that is not such a document raises
-    StateFileError; a matrix that fails validation raises QcoreError."""
+    StateFileError; a matrix that fails the strict validation raises QcoreError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -221,4 +221,4 @@ def load_density_matrix(path, relaxed: bool = False) -> DensityMatrix:
             raise ValueError("entries must be finite numbers")
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"malformed density matrix file {path}: {exc}") from None
-    return DensityMatrix((re + 1j * im).reshape(2**n, 2**n), relaxed)
+    return DensityMatrix((re + 1j * im).reshape(2**n, 2**n))

@@ -338,7 +338,7 @@ def test_malformed_state_file_exit_2(tmp_path, monkeypatch, text, command):
 
 @pytest.mark.parametrize("re,message", [
     ([1, 0, 0, 1], "error: density matrix trace differs from 1 by 1.00e+00\n"),
-    ([1.5, 0, 0, -0.5], "error: density matrix has eigenvalue -5.00e-01 below -5e-03\n"),
+    ([1.5, 0, 0, -0.5], "error: density matrix has eigenvalue -5.00e-01 below -1e-09\n"),
 ], ids=["trace", "psd"])
 def test_invalid_state_file_matrix_exit_1(tmp_path, monkeypatch, re, message):
     monkeypatch.chdir(tmp_path)
@@ -347,3 +347,25 @@ def test_invalid_state_file_matrix_exit_1(tmp_path, monkeypatch, re, message):
     result = CliRunner().invoke(main, ["estimate", "--obs", "1 Z", "--exact",
                                        "--state", "state.json"])
     assert result.exit_code == 1 and result.stderr == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_state_files_are_validated_strictly(tmp_path, monkeypatch, rng, n):
+    """A saved random state loads; the same matrix at trace 1.004, which the
+    fixtures' relaxed tolerance (5e-3) would accept, exits 1 naming the residual."""
+    monkeypatch.chdir(tmp_path)
+    rho = random_density_matrix(n, rng)
+    obs = "1 " + "Z" * n
+    command = ["estimate", "--obs", obs, "--exact", "--state", "state.json"]
+    save_density_matrix(tmp_path / "state.json", rho)
+    result = CliRunner().invoke(main, command)
+    assert result.exit_code == 0 and result.stderr == ""
+    value = float(result.stdout.split("estimate:")[1].strip())
+    assert abs(value - expectation(parse_observable(obs), rho.mat)) < 1e-10
+    scaled = 1.004 * rho.mat
+    (tmp_path / "state.json").write_text(json.dumps({"n_qubits": n,
+                                                     "re": scaled.real.ravel().tolist(),
+                                                     "im": scaled.imag.ravel().tolist()}))
+    result = CliRunner().invoke(main, command)
+    assert result.exit_code == 1
+    assert result.stderr == "error: density matrix trace differs from 1 by 4.00e-03\n"

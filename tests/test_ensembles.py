@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from math import comb
 from pathlib import Path
@@ -118,6 +119,20 @@ def test_clifford_closure_bytes_pinned():
     assert (group.shape, group.dtype) == ((11520, 4, 4), np.complex128)
     assert hashlib.sha256(group.tobytes()).hexdigest() == \
         "d4288daa854098feca55d1ceb2fa1a5a619c5c9ea9a87267fc72f2e476fc90f9"
+
+
+def test_clifford_closure_peak_memory():
+    """At its peak the n=2 closure holds one (11520, 4, 4) stack (2.95 MB),
+    compact keys and one batch of products; a layer list, a joined copy of it
+    and 256-byte rounded-entry keys would peak at 9.8 MB."""
+    enumerate_clifford_group.cache_clear()
+    tracemalloc.start()
+    try:
+        enumerate_clifford_group(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.0e6
 
 
 def test_isotropic_subspace_counts():
