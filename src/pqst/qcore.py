@@ -212,13 +212,15 @@ def load_density_matrix(path) -> DensityMatrix:
         n = doc["n_qubits"]
         if type(n) is not int or not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n!r}")
-        re = np.asarray(doc["re"], dtype=float).ravel()
-        im = np.asarray(doc["im"], dtype=float).ravel()
+        re, im = (np.asarray(doc[key], dtype=object).ravel() for key in ("re", "im"))
+        if not all(type(x) in (int, float) for x in (*re, *im)):  # bool, str, null
+            raise ValueError("entries must be JSON numbers")
+        re, im = re.astype(float), im.astype(float)
         if re.size != 4**n or im.size != 4**n:
             raise ValueError(f"re and im must hold {4**n} entries each, "
                              f"got {re.size} and {im.size}")
         if not np.all(np.isfinite(re + im)):
             raise ValueError("entries must be finite numbers")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"malformed density matrix file {path}: {exc}") from None
     return DensityMatrix((re + 1j * im).reshape(2**n, 2**n))

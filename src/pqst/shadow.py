@@ -11,7 +11,7 @@ from .qcore import DensityMatrix, born_table, dag, fidelity_with_clip, spawn_rng
 from .operators import Observable, activity_of_indices, expectation, pattern_name, \
     pattern_order
 from .ensembles import UnitaryEnsemble
-from .channels import apply_inverse, forward_channel_exact
+from .channels import apply_inverse, forward_channel_exact, snapshot_moments
 
 
 class CoverageError(ValueError):
@@ -38,20 +38,13 @@ def cell_probabilities(ensemble: UnitaryEnsemble, rho: DensityMatrix) -> np.ndar
 def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
                 rng: np.random.Generator) -> PartialShadowEstimator:
     """Empirical-mean shadow estimator over `shots` single shots. Shots are iid
-    over the (member, outcome) cells, so the counts are one multinomial draw
-    over them; the snapshots M^{-1}(U^dag|k><k|U) are built one member at a time."""
+    over the (member, outcome) cells, so the counts are one multinomial draw over
+    them; the snapshot mean and plug-in stderr are closed forms of the counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = (cell_probabilities(ensemble, rho) / ensemble.size).ravel()
-    counts = rng.multinomial(shots, probs / probs.sum()).reshape(ensemble.size, -1)
-    first = np.zeros((rho.dim, rho.dim), dtype=complex)
-    second = np.zeros((rho.dim, rho.dim))
-    for u, f in zip(ensemble.members, counts / shots):
-        # row k of U is <k|U, so projector k is the outer product of its conjugate with it
-        snaps = apply_inverse(ensemble, u.conj()[:, :, None] * u[:, None, :])
-        first += np.tensordot(f, snaps, axes=1)
-        second += np.tensordot(f, snaps.real**2 + snaps.imag**2, axes=1)
-    # per-entry standard error from the cell-count second moments
+    counts = rng.multinomial(shots, probs / probs.sum())
+    first, second = snapshot_moments(ensemble, counts / shots)
     var = second - (first.real**2 + first.imag**2)
     return PartialShadowEstimator(first, ensemble, shots,
                                   np.sqrt(np.clip(var, 0.0, None) / shots))

@@ -96,7 +96,7 @@ def test_reconstruct_report_file(tmp_path):
 
 @pytest.mark.parametrize("mode,fidelity,warned", [
     (["--exact"], "1.0000000264", False),  # eigensolver noise stays below the flag
-    (["--shots", "100000", "--seed", "11"], "1.0009402786", True),
+    (["--shots", "100000", "--seed", "11"], "1.0009402818", True),
 ])
 def test_reconstruct_warns_on_stderr_of_a_fidelity_above_one(mode, fidelity, warned):
     result = CliRunner().invoke(main, ["reconstruct", "--state", "table2-i", "--sets",
@@ -321,6 +321,9 @@ _MALFORMED_STATE_FILES = {
     "n-qubits-5": '{"n_qubits": 5, "re": [], "im": []}',
     "n-qubits-0": '{"n_qubits": 0, "re": [1], "im": [0]}',
     "n-qubits-text": '{"n_qubits": "1", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+    "numeric-string-entry": '{"n_qubits": 1, "re": ["1", "0", "0", "0"], "im": [0, 0, 0, 0]}',
+    "boolean-entry": '{"n_qubits": 1, "re": [true, 0, 0, false], "im": [0, 0, 0, 0]}',
+    "huge-integer-entry": '{"n_qubits": 1, "re": [1, 0, 0, 1' + "0" * 400 + '], "im": [0, 0, 0, 0]}',
 }
 
 

@@ -167,3 +167,9 @@ def test_density_matrix_file_round_trip(tmp_path, rng):
     with pytest.raises(QcoreError):
         path.write_text('{"n_qubits": 2, "re": [1], "im": [0]}')
         load_density_matrix(path)
+
+
+def test_density_matrix_file_accepts_nested_rows(tmp_path):
+    path = tmp_path / "rho.json"
+    path.write_text('{"n_qubits": 1, "re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 0], [0, 0]]}')
+    assert np.array_equal(load_density_matrix(path).mat, np.full((2, 2), 0.5))

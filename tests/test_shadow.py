@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pqst.bench import load_fixture
+from pqst.channels import snapshot_moments
 from pqst.ensembles import (clifford_ensemble, mub_ensemble, parse_ensemble_list,
                             pauli_local_ensemble, zeta_A, zeta_m_active,
                             zeta_union, zeta_x)
@@ -51,7 +53,7 @@ class _RecordingRng:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sampled_pse_matches_full_stack_formula(n):
-    # the per-member accumulation equals the whole (cells, d, d) snapshot stack
+    # the closed-form moments equal the whole (cells, d, d) snapshot stack
     # contracted with the same counts
     rng = np.random.default_rng(70 + n)
     rho = random_density_matrix(n, rng)
@@ -67,6 +69,48 @@ def test_sampled_pse_matches_full_stack_formula(n):
         stderr = np.sqrt(np.clip(second - np.abs(est)**2, 0.0, None) / shots)
         assert np.abs(pse.estimate - est).max() < 1e-12, ens.name
         assert np.abs(pse.stderr - stderr).max() < 1e-12, ens.name
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_clifford_pse_stays_below_the_born_table_peak():
+    # the n=4 Born table's conjugate copy of 2,295 stabilizer bases peaks at
+    # 9.78 MiB; the moments, contracted in chunks of members, stay under it
+    ens = clifford_ensemble(4)
+    rho = random_density_matrix(4, np.random.default_rng(4))
+    born = _traced_peak(lambda: cell_probabilities(ens, rho))
+    peak = _traced_peak(lambda: sampled_pse(rho, ens, 10_000, spawn_rng(1, 0)))
+    assert peak < 11 * 2**20
+    assert peak < born + 2**18
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_pses_are_unbiased_with_the_exact_variance(n):
+    # sigma_exact is the per-entry standard error at the Born probabilities:
+    # the mean of R sampled PSEs lies within 6 sigma_exact / sqrt(R) of the
+    # exact PSE, and the empirical variance matches sigma_exact^2 per set (the
+    # median over a set's 256 entries at n = 4 is steady with fewer draws)
+    rho = random_density_matrix(n, np.random.default_rng(90 + n))
+    draws, shots = (160 if n < 4 else 80), 500
+    for index, ens in enumerate(_every_set(n)):
+        exact = ensemble_pse(rho, ens).estimate
+        mean, second = snapshot_moments(ens, cell_probabilities(ens, rho) / ens.size)
+        assert np.abs(mean - exact).max() < 1e-12, ens.name
+        sigma2 = (second - np.abs(mean)**2) / shots
+        pses = np.array([sampled_pse(rho, ens, shots, spawn_rng(n, index, r)).estimate
+                         for r in range(draws)])
+        bound = 6 * np.sqrt(np.clip(sigma2, 0.0, None) / draws) + 1e-12
+        assert np.all(np.abs(pses.mean(axis=0) - exact) <= bound), ens.name
+        spread = sigma2 > 1e-12
+        ratio = np.median(pses.var(axis=0, ddof=1)[spread] / sigma2[spread])
+        assert 0.8 <= ratio <= 1.25, (ens.name, ratio)
 
 
 def test_ensemble_pse_trusted_entries(rng):
