@@ -11,7 +11,7 @@ import argparse
 
 from pqst.bench import load_fixture
 from pqst.ensembles import zeta_union, zeta_x
-from pqst.shadow import FIDELITY_SLACK, reconstruct_state
+from pqst.shadow import FIDELITY_SLACK, MAX_SHOTS, reconstruct_state
 
 STATES = ("table2-i", "table2-ii", "table2-iii", "table2-iv", "table2-v")
 SETS = (zeta_x(2), zeta_union(2, [{1}, {2}]))
@@ -30,6 +30,8 @@ def main():
     args = ap.parse_args()
     if args.shots < 1:
         ap.error(f"--shots must be >= 1, got {args.shots}")
+    if args.shots > MAX_SHOTS:
+        ap.error(f"--shots must be <= 2^63 - 1, got {args.shots}")
     if args.seed < 0:
         ap.error(f"--seed must be >= 0, got {args.seed}")
 

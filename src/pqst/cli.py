@@ -20,7 +20,7 @@ from .operators import Observable, ObservableError, format_observable, \
 from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
     parse_ensemble_spec
 from .channels import ChannelError
-from .shadow import FIDELITY_SLACK, CoverageError, ensemble_pse, \
+from .shadow import FIDELITY_SLACK, MAX_SHOTS, CoverageError, ensemble_pse, \
     estimate_observable, reconstruct_state
 from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, FIXTURE_NAMES, \
     bench_rows, draw_estimates, load_fixture, measurement_models, method_ensembles, \
@@ -64,6 +64,8 @@ def _require_shots(shots) -> int:
         _fail("sampled mode needs --shots (or use --exact)", 2)
     if shots < 1:
         _fail(f"--shots must be >= 1, got {shots}", 2)
+    if shots > MAX_SHOTS:
+        _fail(f"--shots must be <= 2^63 - 1, got {shots}", 2)
     return shots
 
 
@@ -211,6 +213,8 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output):
         _fail(f"--shots-grid must be comma-separated integers, got {shots_grid!r}", 2)
     if len(set(grid)) < len(grid):
         _fail(f"--shots-grid must name each budget once, got {shots_grid!r}", 2)
+    if max(grid) > MAX_SHOTS:
+        _fail(f"--shots-grid budgets must be <= 2^63 - 1, got {shots_grid!r}", 2)
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     selections = {"pqst-auto" if m == "pqst" else m for m in method_list}  # pqst = pqst-auto
     if not method_list or len(selections) < len(method_list):

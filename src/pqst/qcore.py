@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,10 @@ class StateFileError(QcoreError):
 
 
 class DensityMatrix:
-    """Validated density operator: Hermitian, unit trace, PSD within tolerance.
-    Keeps the decomposition of the PSD check (ascending eigenvalues, eigenvector
-    columns of the Hermitian part); fidelity_with_clip reuses it."""
+    """Validated density operator: Hermitian, unit trace, PSD within tolerance
+    (a Cholesky factor of the Hermitian part minus the floor). The decomposition
+    (ascending eigenvalues, eigenvector columns) is solved on first read and
+    kept; fidelity_with_clip reuses it."""
 
     def __init__(self, mat, relaxed: bool = False):
         herm_tol, trace_tol, eig_floor = RELAXED_TOLERANCES if relaxed else STRICT_TOLERANCES
@@ -123,14 +125,27 @@ class DensityMatrix:
         trace_resid = abs(complex(np.trace(mat)) - 1.0)
         if trace_resid > trace_tol:
             raise QcoreError(f"density matrix trace differs from 1 by {trace_resid:.2e}")
-        self.eigenvalues, self.eigenvectors = jacobi_eigh(mat)
-        min_eig = float(self.eigenvalues[0])
-        if min_eig < eig_floor:
-            raise QcoreError(f"density matrix has eigenvalue {min_eig:.2e} below {eig_floor:.0e}")
         self.mat = mat
-        self.validation_residuals = {
-            "hermiticity": herm_resid, "trace": trace_resid, "min_eigenvalue": min_eig,
-        }
+        self._residuals = {"hermiticity": herm_resid, "trace": trace_resid}
+        try:
+            np.linalg.cholesky((mat + dag(mat)) / 2 - eig_floor * np.eye(len(mat)))
+        except np.linalg.LinAlgError:
+            # the eigenvalue names the rejection, and overrules a round-off failure at the floor
+            min_eig = float(self.eigenvalues[0])
+            if min_eig < eig_floor:
+                raise QcoreError(f"density matrix has eigenvalue {min_eig:.2e} "
+                                 f"below {eig_floor:.0e}") from None
+
+    @cached_property
+    def decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        return jacobi_eigh(self.mat)
+
+    eigenvalues = property(lambda self: self.decomposition[0])
+    eigenvectors = property(lambda self: self.decomposition[1])
+
+    @property
+    def validation_residuals(self) -> dict:
+        return {**self._residuals, "min_eigenvalue": float(self.eigenvalues[0])}
 
     @classmethod
     def from_statevector(cls, psi) -> "DensityMatrix":
@@ -154,10 +169,10 @@ def born_table(members: np.ndarray, x) -> np.ndarray:
 def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 plus clipped mass.
 
-    sqrt(rho) comes from the decomposition rho kept, so the one eigen solve is
-    of sqrt(rho) sigma sqrt(rho). Nothing is trace-normalised: F(rho, rho) =
-    (Tr rho)^2, e.g. 1.0002000100 for the relaxed rho3 of trace 1.0001.
-    sigma may be any Hermitian matrix (finite-shot estimators can be
+    sqrt(rho) comes from rho's decomposition (solved on first read), so the
+    other solve is of sqrt(rho) sigma sqrt(rho). Nothing is trace-normalised:
+    F(rho, rho) = (Tr rho)^2, e.g. 1.0002000100 for the relaxed rho3 of trace
+    1.0001. sigma may be any Hermitian matrix (finite-shot estimators can be
     non-physical); negative eigenvalues of sqrt(rho) sigma sqrt(rho) are
     clamped to zero and their total magnitude is returned alongside. That mass
     misses any negative mass of sigma outside rho's support.
@@ -167,7 +182,7 @@ def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
         raise QcoreError("fidelity arguments have mismatched dimensions")
     if np.abs(sig - dag(sig)).max() > 1e-8:
         raise QcoreError("fidelity second argument is not Hermitian")
-    w, v = rho.eigenvalues, rho.eigenvectors
+    w, v = rho.decomposition
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dag(v)
     w = jacobi_eigh(sqrt_rho @ sig @ sqrt_rho)[0]
     clipped = float(-w[w < 0].sum()) if np.any(w < 0) else 0.0

@@ -35,6 +35,9 @@ def cell_probabilities(ensemble: UnitaryEnsemble, rho: DensityMatrix) -> np.ndar
     return table / table.sum(axis=1, keepdims=True)
 
 
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial takes the shot count as a signed 64-bit int
+
+
 def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
                 rng: np.random.Generator) -> PartialShadowEstimator:
     """Empirical-mean shadow estimator over `shots` single shots. Shots are iid
@@ -123,7 +126,7 @@ def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,
                  for p in pses],
         "shots_per_set": shots_per_set,
         "seed": seed,
-        "state_residuals": dict(reference.validation_residuals),
+        "state_residuals": reference.validation_residuals,
         "fidelity_vs_reference": float(f),
         "fidelity_above_one": f > 1 + FIDELITY_SLACK,
         "fidelity_clipped_mass": float(clipped),

@@ -221,6 +221,10 @@ _BAD_VALUES = [
     ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
                "shots_grid": "100,1000,0100"}),
     ("reconstruct", {"state": "rho2", "sets": "zeta-A:1,1", "exact": True}),
+    ("estimate", {"state": "rho2", "obs": "O2X", "seed": 1, "shots": 2**63}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": 1, "shots": 2**63}),
+    ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
+               "shots_grid": f"100,{2**63}"}),
 ]
 
 
@@ -246,6 +250,30 @@ def test_config_option_is_gone_exit_2(tmp_path, monkeypatch, command):
     result = CliRunner().invoke(main, [command, "--config", "cfg.json"])
     assert result.exit_code == 2
     assert "No such option '--config'" in result.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["estimate", "--obs", "O2X", "--shots", str(2**63)],
+     f"--shots must be <= 2^63 - 1, got {2**63}"),
+    (["reconstruct", "--sets", "zeta-X,zeta-m:1", "--shots", str(10**30)],
+     f"--shots must be <= 2^63 - 1, got {10**30}"),
+    (["bench", "--obs", "O2X", "--output", "x.csv", "--shots-grid", f"{2**64},100"],
+     f"--shots-grid budgets must be <= 2^63 - 1, got '{2**64},100'"),
+])
+def test_shot_budgets_above_the_int64_range_name_flag_and_bound(tmp_path, monkeypatch,
+                                                                args, message):
+    # numpy's multinomial takes a signed 64-bit count
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, [*args, "--state", "rho2", "--seed", "1"])
+    _assert_one_error_line(result, tmp_path)
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--obs", "O2X"], ["reconstruct", "--sets", "zeta-X,zeta-m:1"]])
+def test_the_largest_int64_shot_budget_runs(args):
+    result = run(*args, "--state", "rho2", "--seed", "1", "--shots", str(2**63 - 1))
+    assert result.exit_code == 0, result.output
 
 
 def _assert_one_error_line(result, tmp_path):

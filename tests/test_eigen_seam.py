@@ -1,15 +1,15 @@
 """The eigen seam: `qcore.jacobi_eigh` is reached only from the two places
-that decompose a matrix, `DensityMatrix.__init__` (the state, once) and
-`fidelity_with_clip` (sqrt(rho) sigma sqrt(rho)), and no module in src/pqst
-calls a numpy eigensolver. A third decomposition site fails here, so swapping
-the solver stays a change to one function body."""
+that decompose a matrix, the cached `DensityMatrix.decomposition` (the state,
+once, on first read) and `fidelity_with_clip` (sqrt(rho) sigma sqrt(rho)), and
+no module in src/pqst calls a numpy eigensolver. A third decomposition site
+fails here, so swapping the solver stays a change to one function body."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pqst"
 SOLVER = "jacobi_eigh"
-SOLVER_USERS = ["qcore.DensityMatrix.__init__", "qcore.fidelity_with_clip"]
+SOLVER_USERS = ["qcore.DensityMatrix.decomposition", "qcore.fidelity_with_clip"]
 NUMPY_SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 

@@ -7,11 +7,13 @@ import pytest
 
 from pqst import qcore
 from pqst.qcore import (DensityMatrix, HADAMARD, HS, ID2, PHASE_S, QcoreError,
-                        dag, fidelity, fidelity_with_clip, jacobi_eigh, kron_all,
-                        load_density_matrix, save_density_matrix, spawn_rng)
+                        RELAXED_TOLERANCES, STRICT_TOLERANCES, dag, fidelity,
+                        fidelity_with_clip, jacobi_eigh, kron_all, load_density_matrix,
+                        save_density_matrix, spawn_rng)
 from pqst.ensembles import zeta_m_active, zeta_x
 from pqst.operators import PAULI_1Q
-from pqst.golden import random_density_matrix
+from pqst.golden import random_density_matrix, run_validation
+from pqst.bench import draw_estimates, load_fixture, measurement_models
 from pqst.shadow import reconstruct_state
 from conftest import random_hermitian
 
@@ -66,13 +68,34 @@ def solves(monkeypatch):
 
 
 def test_a_state_and_a_fidelity_make_one_eigen_solve_each(solves, rng):
+    # the state's own solve waits for its first read and is kept
     mat = random_density_matrix(3, rng).mat
     sigma = random_density_matrix(3, rng).mat
     solves.clear()
     rho = DensityMatrix(mat)
-    assert len(solves) == 1
+    assert len(solves) == 0
     fidelity_with_clip(rho, sigma)
     assert len(solves) == 2
+    fidelity_with_clip(rho, sigma)
+    assert len(solves) == 3
+    assert rho.validation_residuals["min_eigenvalue"] == rho.eigenvalues[0]
+    assert len(solves) == 3
+
+
+def test_validation_battery_makes_no_eigen_solve(solves):
+    results = run_validation()
+    assert [label for label, passed, _ in results if not passed] == []
+    assert len(results) == 50
+    assert solves == []
+
+
+@pytest.mark.parametrize("method", ["pqst", "pauli", "clifford", "mub"])
+def test_sampled_estimate_makes_no_eigen_solve(solves, method):
+    # the path of `pqst estimate` in sampled mode
+    state = random_density_matrix(3, np.random.default_rng(5))
+    models = measurement_models(state, load_fixture("O3X").observable, method)
+    draw_estimates(models, 1000, spawn_rng(5, 0), 1)
+    assert solves == []
 
 
 def test_sampled_4_qubit_reconstruction_makes_two_eigen_solves(solves):
@@ -111,6 +134,57 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     ok = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
     assert ok.validation_residuals["trace"] < 1e-12
+
+
+def _haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cholesky_psd_check_agrees_with_the_eigenvalue_floor(solves, n, relaxed):
+    """A state whose lowest eigenvalue sits delta above or below the floor, with
+    one eigenvalue there or all but one (rank 1 up to the floor), is accepted
+    iff Jacobi's lowest eigenvalue clears the floor. An accepted state was
+    decided by the Cholesky factor alone (no solve); a rejected one carries
+    the eigenvalue in the message text the eigenvalue check always gave.
+    The two decisions were also seen to agree at delta = 1e-15."""
+    floor = (RELAXED_TOLERANCES if relaxed else STRICT_TOLERANCES)[2]
+    d, rng = 2**n, np.random.default_rng(100 * n + relaxed)
+    for delta, sign, rank_one in itertools.product(10.0 ** -np.arange(6, 13), (1, -1),
+                                                   (False, True)):
+        low = floor + sign * delta
+        if rank_one:
+            spectrum = np.full(d, low)
+            spectrum[-1] = 1 - (d - 1) * low
+        else:
+            rest = rng.uniform(0.1, 1.0, size=d - 1)
+            spectrum = np.concatenate([[low], rest * (1 - low) / rest.sum()])
+        u = _haar_unitary(d, rng)
+        mat = (u * spectrum) @ dag(u)
+        min_eig = float(jacobi_eigh(mat)[0][0])
+        assert (min_eig >= floor) == (sign > 0)
+        solves.clear()
+        if min_eig >= floor:
+            DensityMatrix(mat, relaxed=relaxed)
+            assert solves == []
+        else:
+            with pytest.raises(QcoreError) as info:
+                DensityMatrix(mat, relaxed=relaxed)
+            assert str(info.value) == \
+                f"density matrix has eigenvalue {min_eig:.2e} below {floor:.0e}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pure_states_pass_the_strict_floor_without_a_solve(solves, n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        solves.clear()
+        rho = DensityMatrix.from_statevector(psi)
+        assert solves == []
+        assert rho.validation_residuals["min_eigenvalue"] >= STRICT_TOLERANCES[2]
 
 
 def test_relaxed_validation_accepts_printed_precision():

@@ -44,6 +44,8 @@ def test_reconstruct_states_prints_five_states(tmp_path):
     ("reconstruct_states.py", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ("run_mse_scaling.py", ["--trials", "0"], "--trials must be >= 1, got 0"),
     ("run_mse_scaling.py", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("reconstruct_states.py", ["--shots", str(2**63)],
+     f"--shots must be <= 2^63 - 1, got {2**63}"),
 ])
 def test_scripts_reject_bad_arguments_exit_2(tmp_path, name, args, message):
     out = _run_script(name, *args, cwd=tmp_path)
