@@ -21,14 +21,15 @@ def _as_matrix(rho) -> np.ndarray:
 
 
 def forward_channel_exact(ensemble: UnitaryEnsemble, rho) -> np.ndarray:
-    """(1/|zeta|) sum_U sum_k <k|U rho U^dag|k> U^dag|k><k|U, no sampling."""
+    """(1/|zeta|) sum_U sum_k <k|U rho U^dag|k> U^dag|k><k|U, no sampling, on
+    the last two axes of a stack of states."""
     mat = _as_matrix(rho)
-    d = mat.shape[0]
-    out = np.zeros((d, d), dtype=complex)
+    out = np.zeros(mat.shape, dtype=complex)
     for start in range(0, ensemble.size, _CHUNK):
         u = ensemble.members[start:start + _CHUNK]
-        weights = born_table(u, mat).real
-        out += np.einsum("ck,cki,ckj->ij", weights, u.conj(), u)
+        weights = born_table(u, mat)
+        weights.imag = 0  # the real part, with no real-to-complex cast copy in einsum
+        out += np.einsum("...ck,cki,ckj->...ij", weights, u.conj(), u)
     return out / ensemble.size
 
 

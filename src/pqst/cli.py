@@ -1,6 +1,8 @@
 """Command-line interface: reconstruct, estimate, bench, validate, ensemble-info.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage/parse/coverage error.
+Exit codes: 0 success, 1 numerical failure or a read or write that fails
+after the up-front path checks, 2 usage/parse/coverage error (a directory as
+--state or a missing --output directory included).
 Options come from flags only: there is no config file and no environment
 fallback, and a seed is always an explicit --seed, so every run is
 reproducible from its recorded invocation.
@@ -75,9 +77,17 @@ def _require_seed(seed):
     return seed
 
 
+def _check_output(output):
+    """Fail before any work when --output's directory does not exist."""
+    if output is not None and not Path(output).parent.is_dir():
+        _fail(f"--output directory {str(Path(output).parent)!r} is not an existing directory", 2)
+
+
 def _resolve_state(source: str) -> tuple[str, DensityMatrix]:
     if source is None:
         _fail("a --state (fixture name or density-matrix JSON file) is required", 2)
+    if Path(source).is_dir():
+        _fail(f"--state {source!r} is a directory, not a density-matrix JSON file", 2)
     if Path(source).exists():
         if source in FIXTURE_NAMES:
             _fail(f"--state {source!r} names both the file {Path(source).resolve()} and "
@@ -120,6 +130,7 @@ def main():
 def reconstruct(state, sets_spec, exact, shots, seed, output):
     """Reconstruct a density matrix from one PSE per measurement set."""
     _seed(seed)
+    _check_output(output)
     state_name, rho = _resolve_state(state)
     if sets_spec is None:
         _fail("--sets is required (e.g. 'zeta-X,zeta-A:1|zeta-A:2')", 2)
@@ -206,6 +217,7 @@ def bench(state, obs_spec, methods, shots_grid, trials, seed, output):
     run_seed = _require_seed(seed)
     if output is None:
         _fail("--output CSV path is required", 2)
+    _check_output(output)
     try:
         grid = DEFAULT_SHOT_GRID if shots_grid is None else \
             tuple(int(s) for s in shots_grid.split(","))

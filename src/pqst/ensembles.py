@@ -3,7 +3,9 @@
 An ensemble is a name, its members as one (size, d, d) stack, the strength p
 of its inverse map pA - Tr(A) 1 (None: 3A - Tr(A) 1 on every qubit) and the
 activity patterns it trusts. PQST sets are explicit lists of {1,H,HS} tensor
-words. The global Clifford group is enumerated exactly by closure for n <= 2.
+words. The global Clifford group is enumerated exactly by closure for n <= 2;
+a product is new unless its signed images of the 2n one-bit Pauli words, which
+fix a Clifford up to phase, have been seen as one packed integer code.
 For channel and benchmark work the Clifford ensemble (n <= 4) is represented
 by the stabilizer measurement bases (15 at n=2, 135 at n=3, 2295 at n=4):
 uniform Clifford sampling pushes forward to the uniform distribution over those
@@ -61,7 +63,7 @@ class UnitaryEnsemble:
 # phase-invariant, so dedup works on these forms.
 
 def canonical_phase(stack: np.ndarray) -> np.ndarray:
-    flat = stack.reshape(len(stack), -1)
+    flat = stack.reshape(len(stack), prod(stack.shape[1:]))
     z = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
     return stack * (np.abs(z) / z)[:, None, None]
 
@@ -151,10 +153,23 @@ def pauli_local_ensemble(n: int) -> UnitaryEnsemble:
 # ---------------------------------------------------------------------------
 # Clifford group: exact enumeration by closure (n <= 2).
 
-# Frontier members multiplied at once in the closure. Batches only partition
-# the frontier; their product temporaries set the closure's peak memory.
+# Frontier members whose products are coded at once in the closure. Batches
+# only partition the frontier; each forms the matrices of its new products.
 _BATCH = 128
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def _pauli_action(gens: np.ndarray, n: int) -> np.ndarray:
+    """Each generator's action on signed Pauli codes s 4^n + m, (-1)^s the sign
+    and m the _pauli_table mask: entry [g, s 4^n + m] codes g (-1)^s P_m g^dag."""
+    paulis = _pauli_table(n)
+    images = gens[:, None] @ paulis @ gens.conj().transpose(0, 2, 1)[:, None]
+    overlap = np.einsum("bji,gaij->gab", paulis, images).real / 2**n
+    mask = np.abs(overlap).argmax(axis=2)
+    sign = np.take_along_axis(overlap, mask[..., None], axis=2)[..., 0] < 0
+    assert np.abs(images - np.where(sign, -1, 1)[..., None, None] * paulis[mask]).max() < 1e-12
+    act = (mask + 4**n * sign).astype(np.uint8)  # codes < 2 4^n <= 32
+    return np.concatenate([act, act ^ 4**n], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -165,9 +180,11 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
     The stack is allocated at the group order 4^n |Sp(2n, 2)| = 2^(n^2+2n)
     prod_j (4^j - 1) (24 and 11,520) and filled in place; each breadth-first
     layer is the block filled by the one before. Batches of the frontier are
-    multiplied by every generator at once, in (frontier member, generator)
-    order. A phase-canonical product is new unless its entries rounded to 6
-    decimals, as exact int32 micro-units (-0.0 reads 0), have been seen.
+    multiplied by every generator, in (frontier member, generator) order. A
+    Clifford is fixed up to phase by its signed images of the 2n one-bit Pauli
+    words (Aaronson and Gottesman, PRA 70, 052328 (2004)): a product is new
+    unless its images, read from _pauli_action and packed into one code below
+    (2 4^n)^(2n), are marked in a bitmap. Only new products become matrices.
     """
     if n == 1:
         gens = [HADAMARD, PHASE_S]
@@ -179,23 +196,27 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
         raise EnsembleError("closure enumeration supported only for n <= 2")
     d = 2**n
     gens = np.stack(gens)
+    act = _pauli_action(gens, n)
     group = np.empty((2**(n * n + 2 * n) * prod(4**j - 1 for j in range(1, n + 1)), d, d),
                      dtype=complex)
     group[0] = np.eye(d)
-    seen = {np.rint(group[0].view(np.float64) * 1e6).astype(np.int32).tobytes()}
+    images = np.empty((len(group), 2 * n), dtype=act.dtype)
+    images[0] = 1 << np.arange(2 * n)  # the identity fixes every one-bit word
+    place = (2 * d * d) ** np.arange(2 * n)
+    seen = np.zeros((2 * d * d) ** (2 * n) // 8, dtype=np.uint8)  # one bit per packed code
+    seen[images[0] @ place >> 3] = 1 << (images[0] @ place & 7)
     start, end = 0, 1
     while start < end:
         size = end
         for lo in range(start, end, _BATCH):
-            part = group[lo:min(lo + _BATCH, end), None]
-            prods = canonical_phase((gens[None] @ part).reshape(-1, d, d))
-            new = []
-            for i, micro in enumerate(np.rint(prods.view(np.float64) * 1e6).astype(np.int32)):
-                key = micro.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new.append(i)
-            group[size:size + len(new)] = prods[new]
+            codes = act[:, images[lo:min(lo + _BATCH, end)]].transpose(1, 0, 2).reshape(-1, 2 * n)
+            keys = codes @ place
+            first = np.unique(keys, return_index=True)[1]
+            new = np.sort(first[(seen[keys[first] >> 3] >> (keys[first] & 7) & 1) == 0])
+            np.bitwise_or.at(seen, keys[new] >> 3, (1 << (keys[new] & 7)).astype(np.uint8))
+            parent, gen = np.divmod(new, len(gens))
+            group[size:size + len(new)] = canonical_phase(gens[gen] @ group[lo + parent])
+            images[size:size + len(new)] = codes[new]
             size += len(new)
         start, end = end, size
     assert end == len(group)

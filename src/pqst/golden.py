@@ -138,13 +138,10 @@ def check_closed_forms(seed: int):
               for ens, b_name, b in ((hh, "B_H", golden_b_h), (hshs, "B_HS", golden_b_hs))]
     sets = {ens.name: ens for _, ens, _, _ in cases}
     rng = spawn_rng(seed, 0)
-    worst = [0.0] * len(cases)
-    for _ in range(CLOSED_FORM_STATES):
-        rho = random_density_matrix(2, rng)
-        forward = {name: forward_channel_exact(ens, rho) for name, ens in sets.items()}
-        for i, (_, ens, p, closed_form) in enumerate(cases):
-            expected = closed_form(rho.mat)
-            worst[i] = max(worst[i], _max_resid(pseudo_inverse(p, forward[ens.name]), expected))
+    states = np.stack([random_density_matrix(2, rng).mat for _ in range(CLOSED_FORM_STATES)])
+    forward = {name: forward_channel_exact(ens, states) for name, ens in sets.items()}
+    worst = [max(_max_resid(pseudo_inverse(p, forward[ens.name][s]), closed_form(rho))
+                 for s, rho in enumerate(states)) for _, ens, p, closed_form in cases]
     return [(label, resid <= TOL, resid) for (label, *_), resid in zip(cases, worst)]
 
 

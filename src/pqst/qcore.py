@@ -159,8 +159,9 @@ class DensityMatrix:
 
 
 def born_table(members: np.ndarray, x) -> np.ndarray:
-    """<k|U x U^dag|k> for each member U of a stack (rows) and outcome k (columns)."""
-    return np.einsum("cki,ij,ckj->ck", members, x, members.conj())
+    """<k|U x U^dag|k> for each member U of a stack (rows) and outcome k
+    (columns), for x on its last two axes (a stack gives a stack of tables)."""
+    return np.einsum("cki,...ij,ckj->...ck", members, x, members.conj())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from pqst.channels import (ChannelError, apply_inverse, depolarizing_channel,
                            forward_channel_exact, pseudo_inverse)
 from pqst.ensembles import (clifford_ensemble, enumerate_clifford_group,
                             mub_ensemble, pauli_local_ensemble,
-                            UnitaryEnsemble, zeta_m_active, zeta_x)
+                            UnitaryEnsemble, zeta_A, zeta_m_active, zeta_x)
+from pqst.qcore import born_table
 from pqst.shadow import ensemble_pse
 from pqst.golden import random_density_matrix
 
@@ -29,6 +30,31 @@ def test_depolarizing_inverse_inverts_channel(rng):
 
 def _every_inverse_kind(n):
     return [zeta_x(n), zeta_m_active(n, 1), pauli_local_ensemble(n), mub_ensemble(n)]
+
+
+def _every_set_kind(n):
+    sets = [zeta_x(n), zeta_A(n, {1}), zeta_m_active(n, 1), pauli_local_ensemble(n),
+            clifford_ensemble(n)]
+    if n <= 3:
+        sets.append(mub_ensemble(n))
+    if n <= 2:
+        sets.append(UnitaryEnsemble("clifford-closure", enumerate_clifford_group(n),
+                                    2.0**n + 1, frozenset()))
+    return sets
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_born_table_and_forward_channel_equal_single_calls(n, rng):
+    """Both act on the last two axes of a stack of states, and each slice of a
+    stacked call equals the single-state call to the bit."""
+    states = np.stack([random_density_matrix(n, rng).mat for _ in range(3)])
+    for ens in _every_set_kind(n):
+        tables = born_table(ens.members, states)
+        forward = forward_channel_exact(ens, states)
+        assert tables.shape == (3, ens.size, 2**n) and forward.shape == states.shape
+        for i, rho in enumerate(states):
+            assert tables[i].tobytes() == born_table(ens.members, rho).tobytes(), ens.name
+            assert forward[i].tobytes() == forward_channel_exact(ens, rho).tobytes(), ens.name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -225,6 +225,12 @@ _BAD_VALUES = [
     ("reconstruct", {"state": "rho2", "sets": "zeta-X,zeta-m:1", "seed": 1, "shots": 2**63}),
     ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "x.csv",
                "shots_grid": f"100,{2**63}"}),
+    ("reconstruct", {"state": ".", "sets": "zeta-X", "exact": True}),
+    ("estimate", {"state": ".", "obs": "O2X", "exact": True}),
+    ("bench", {"state": ".", "obs": "O2X", "seed": 1, "output": "x.csv"}),
+    ("reconstruct", {"state": "rho2", "sets": "zeta-X", "exact": True,
+                     "output": "missing/x.json"}),
+    ("bench", {"state": "rho2", "obs": "O2X", "seed": 1, "output": "missing/x.csv"}),
 ]
 
 
@@ -267,6 +273,24 @@ def test_shot_budgets_above_the_int64_range_name_flag_and_bound(tmp_path, monkey
     result = CliRunner().invoke(main, [*args, "--state", "rho2", "--seed", "1"])
     _assert_one_error_line(result, tmp_path)
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["reconstruct", "--state", ".", "--sets", "zeta-X", "--exact"],
+     "--state '.' is a directory, not a density-matrix JSON file"),
+    (["reconstruct", "--state", "rho2", "--sets", "zeta-X", "--exact",
+      "--output", "no/such/x.json"],
+     "--output directory 'no/such' is not an existing directory"),
+    (["bench", "--state", "rho2", "--obs", "O2X", "--seed", "1", "--output", "x.csv/x.csv"],
+     "--output directory 'x.csv' is not an existing directory"),
+])
+def test_bad_paths_exit_2_before_any_work(tmp_path, monkeypatch, args, message):
+    # no state is read and no run is made: x.csv is a file, so x.csv/ is no directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("")
+    result = CliRunner().invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert (tmp_path / "x.csv").read_text() == ""
 
 
 @pytest.mark.parametrize("args", [

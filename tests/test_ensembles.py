@@ -23,7 +23,7 @@ from pqst.ensembles import (EnsembleError, clifford_ensemble,
                             stabilizer_basis_unitaries, zeta_A, zeta_m_active,
                             zeta_union, zeta_x)
 from pqst.operators import PAULI_1Q, pattern_mask
-from pqst.qcore import HADAMARD, PHASE_S, dag
+from pqst.qcore import HADAMARD, ID2, PHASE_S, dag, kron_all
 from conftest import member_word
 
 
@@ -122,9 +122,10 @@ def test_clifford_closure_bytes_pinned():
 
 
 def test_clifford_closure_peak_memory():
-    """At its peak the n=2 closure holds one (11520, 4, 4) stack (2.95 MB),
-    compact keys and one batch of products; a layer list, a joined copy of it
-    and 256-byte rounded-entry keys would peak at 9.8 MB."""
+    """At its peak the n=2 closure holds one (11520, 4, 4) stack (2.95 MB), the
+    one-byte Pauli-image codes of its elements (46 kB), a 128 kB bitmap of the
+    packed codes seen and the matrices of one batch's new elements; 128-byte
+    rounded-entry keys of every product peaked at 6.1 MB."""
     enumerate_clifford_group.cache_clear()
     tracemalloc.start()
     try:
@@ -132,7 +133,45 @@ def test_clifford_closure_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.0e6
+    assert peak < 4.5e6
+
+
+def _closure_generators(n):
+    """The closure's generators: H and S on each qubit, and CNOT at n = 2."""
+    site = lambda gate, q: kron_all(*(gate if i == q else ID2 for i in range(n)))
+    gens = [site(g, q) for g in (HADAMARD, PHASE_S) for q in range(n)]
+    return np.stack(gens + [np.eye(4)[[0, 1, 3, 2]]] * (n == 2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pauli_action_tables_are_exact(n):
+    """Every entry of the action table, for every generator and a sample of
+    group elements and every signed Pauli word, is g (+-P) g^dag to 1e-12:
+    a dropped sign or a wrong image fails."""
+    paulis, d2 = ensembles._pauli_table(n), 4**n
+    signed = np.concatenate([paulis, -paulis])
+
+    def check(gens):
+        act = ensembles._pauli_action(gens, n)
+        assert act.shape == (len(gens), 2 * d2)
+        conj = gens[:, None] @ signed @ gens.conj().transpose(0, 2, 1)[:, None]
+        image = np.where(act >= d2, -1, 1)[..., None, None] * paulis[act % d2]
+        assert np.abs(conj - image).max() < 1e-12
+        # the table permutes the signed words, and g(-P)g^dag = -(gPg^dag)
+        assert (np.sort(act, axis=1) == np.arange(2 * d2)).all()
+        assert (act[:, d2:] == act[:, :d2] ^ d2).all()
+
+    check(_closure_generators(n))
+    check(enumerate_clifford_group(n)[::97])
+
+
+def test_closure_elements_differ_in_their_pauli_images():
+    """Distinct elements of the n=2 closure have distinct signed images of the
+    one-bit Pauli words, the code the closure deduplicates on."""
+    group = enumerate_clifford_group(2)
+    act = ensembles._pauli_action(group, 2)
+    codes = act[:, 1 << np.arange(4)]
+    assert len(np.unique(codes, axis=0)) == len(group)
 
 
 def test_isotropic_subspace_counts():
