@@ -8,7 +8,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .qcore import DensityMatrix, born_table, kron_all, spawn_rng
+from .qcore import DensityMatrix, QcoreError, born_table, kron_all, spawn_rng
 from .operators import Observable, PAULI_1Q, activity_support, expectation, \
     parse_observable, pattern_qubits
 from .ensembles import UnitaryEnsemble, parse_ensemble_spec, zeta_union, zeta_x
@@ -200,11 +200,14 @@ def method_ensembles(method: str, obs: Observable) -> list[UnitaryEnsemble]:
 
 def _merge_cells(ens: UnitaryEnsemble, probs: np.ndarray, values: np.ndarray,
                  part: np.ndarray) -> MeasurementModel:
-    """Merge cells whose values agree to 1e-9; each group keeps its summed
-    probability and its probability-weighted mean value, so sum p v is exact.
-    When all cells agree, the one value is Tr(part) / d, since each member's
-    outcomes sum to Tr(part), and it is drawn with probability 1."""
-    keys, group = np.unique(np.round(values, 9), return_inverse=True)
+    """Merge cells whose values agree to 1e-9 of the largest |value|; each group
+    keeps its summed probability and its probability-weighted mean value, so
+    sum p v is exact. When all cells agree, the one value is Tr(part) / d, since
+    each member's outcomes sum to Tr(part), and it is drawn with probability 1."""
+    if not np.all(np.isfinite(values)):
+        raise QcoreError("observable cell values overflow to non-finite numbers")
+    scale = np.abs(values).max()
+    keys, group = np.unique(np.round(values / (scale or 1.0), 9), return_inverse=True)
     if keys.size == 1:
         return MeasurementModel(ens, np.ones(1), np.trace(part).real[None] / len(part))
     p = np.bincount(group, weights=probs)
@@ -224,10 +227,10 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
         terms = [t for t in obs.terms if owners[t.activity] == index]
         if not terms:
             continue
-        probs = (cell_probabilities(ens, state) / ens.size).ravel()
-        part = apply_inverse(ens, sum(t.matrix() for t in terms))
-        values = born_table(ens.members, part).real.ravel()
-        models.append(_merge_cells(ens, probs / probs.sum(), values, part))
+        with np.errstate(over="ignore", invalid="ignore"):  # _merge_cells rejects inf, nan
+            part = apply_inverse(ens, sum(t.matrix() for t in terms))
+            values = born_table(ens.members, part).real.ravel()
+        models.append(_merge_cells(ens, cell_probabilities(ens, state), values, part))
     if not models:
         raise CoverageError("no measurement model owns any observable term")
     return models

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import DensityMatrix, born_table
+from .qcore import born_table
 from .ensembles import UnitaryEnsemble
 
 # Members per batch in forward_channel_exact and snapshot_moments: all 11,520 n=2
@@ -16,18 +16,13 @@ class ChannelError(ValueError):
     pass
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-def forward_channel_exact(ensemble: UnitaryEnsemble, rho) -> np.ndarray:
-    """(1/|zeta|) sum_U sum_k <k|U rho U^dag|k> U^dag|k><k|U, no sampling, on
-    the last two axes of a stack of states."""
-    mat = _as_matrix(rho)
-    out = np.zeros(mat.shape, dtype=complex)
+def forward_channel_exact(ensemble: UnitaryEnsemble, rho: np.ndarray) -> np.ndarray:
+    """(1/|zeta|) sum_U sum_k <k|U rho U^dag|k> U^dag|k><k|U on the last two axes of
+    an array or a stack: the dense oracle that snapshot_moments is checked against."""
+    out = np.zeros(np.shape(rho), dtype=complex)
     for start in range(0, ensemble.size, _CHUNK):
         u = ensemble.members[start:start + _CHUNK]
-        weights = born_table(u, mat)
+        weights = born_table(u, rho)
         weights.imag = 0  # the real part, with no real-to-complex cast copy in einsum
         out += np.einsum("...ck,cki,ckj->...ij", weights, u.conj(), u)
     return out / ensemble.size

@@ -192,11 +192,11 @@ def check_baseline_channels(seed: int):
     rho2 = random_density_matrix(2, rng)
     group = enumerate_clifford_group(2)
     cliff = UnitaryEnsemble("clifford-closure", group, 5.0, frozenset(range(4)))
-    resid = _max_resid(forward_channel_exact(cliff, rho2),
+    resid = _max_resid(forward_channel_exact(cliff, rho2.mat),
                        depolarizing_channel(2, rho2.mat))
     results.append(("n=2 Clifford closure channel = depolarizing map",
                     resid <= TOL, resid))
-    resid = _max_resid(forward_channel_exact(mub_ensemble(2), rho2),
+    resid = _max_resid(forward_channel_exact(mub_ensemble(2), rho2.mat),
                        depolarizing_channel(2, rho2.mat))
     results.append(("n=2 MUB channel = depolarizing", resid <= TOL, resid))
     for n in (1, 2, 3):
@@ -216,7 +216,7 @@ def check_negative_control(seed: int):
     worst = 0.0
     for _ in range(NEGATIVE_CONTROL_STATES):
         rho = random_density_matrix(2, rng)
-        est = apply_inverse(pauli, forward_channel_exact(zx, rho))
+        est = apply_inverse(pauli, forward_channel_exact(zx, rho.mat))
         worst = max(worst, _max_resid(est[trusted], rho.mat[trusted]))
     return [("per-site inverse with zeta_X fails (max trusted residual > 0.01)",
              worst > 0.01, worst)]

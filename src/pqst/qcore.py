@@ -141,7 +141,6 @@ class DensityMatrix:
         return jacobi_eigh(self.mat)
 
     eigenvalues = property(lambda self: self.decomposition[0])
-    eigenvectors = property(lambda self: self.decomposition[1])
 
     @property
     def validation_residuals(self) -> dict:
@@ -152,10 +151,6 @@ class DensityMatrix:
         psi = np.asarray(psi, dtype=complex)
         psi = psi / np.linalg.norm(psi)
         return cls(np.outer(psi, psi.conj()))
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
 
 
 def born_table(members: np.ndarray, x) -> np.ndarray:

@@ -11,7 +11,7 @@ from .qcore import DensityMatrix, born_table, dag, fidelity_with_clip, spawn_rng
 from .operators import Observable, activity_of_indices, expectation, pattern_name, \
     pattern_order
 from .ensembles import UnitaryEnsemble
-from .channels import apply_inverse, forward_channel_exact, snapshot_moments
+from .channels import snapshot_moments
 
 
 class CoverageError(ValueError):
@@ -29,10 +29,11 @@ class PartialShadowEstimator:
 
 
 def cell_probabilities(ensemble: UnitaryEnsemble, rho: DensityMatrix) -> np.ndarray:
-    """Born probabilities <k|U rho U^dag|k> of every member (rows) and outcome
-    (columns), clipped at 0 and normalised per member."""
+    """The flat (member, outcome) distribution that both samplers draw from: Born
+    probabilities clipped at 0 and normalised per member, over |zeta| members."""
     table = np.clip(born_table(ensemble.members, rho.mat).real, 0.0, None)
-    return table / table.sum(axis=1, keepdims=True)
+    probs = (table / table.sum(axis=1, keepdims=True) / ensemble.size).ravel()
+    return probs / probs.sum()
 
 
 MAX_SHOTS = 2**63 - 1  # numpy's multinomial takes the shot count as a signed 64-bit int
@@ -45,8 +46,7 @@ def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
     them; the snapshot mean and plug-in stderr are closed forms of the counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = (cell_probabilities(ensemble, rho) / ensemble.size).ravel()
-    counts = rng.multinomial(shots, probs / probs.sum())
+    counts = rng.multinomial(shots, cell_probabilities(ensemble, rho))
     first, second = snapshot_moments(ensemble, counts / shots)
     var = second - (first.real**2 + first.imag**2)
     return PartialShadowEstimator(first, ensemble, shots,
@@ -54,9 +54,10 @@ def sampled_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble, shots: int,
 
 
 def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadowEstimator:
-    """Exact PSE from Born probabilities (diagonal-tomography mode, no sampling)."""
-    return PartialShadowEstimator(
-        apply_inverse(ensemble, forward_channel_exact(ensemble, rho)), ensemble, 0)
+    """Exact PSE (diagonal-tomography mode): the snapshot mean at the raw Born
+    table / |zeta|, neither clipped nor normalised, so it is linear in rho."""
+    weights = born_table(ensemble.members, rho.mat).real / ensemble.size
+    return PartialShadowEstimator(snapshot_moments(ensemble, weights)[0], ensemble, 0)
 
 
 def pattern_owners(sets, terms=()) -> dict:

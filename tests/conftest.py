@@ -54,7 +54,7 @@ def reference_snapshot(ens, member, k):
 def reference_cells(ens, rho):
     """Per-(member, outcome) probabilities, summing to 1, and the stack of
     reference snapshots, one cell at a time."""
-    d = rho.dim
+    d = 2**rho.n
     probs, snaps = [], []
     for i, u in enumerate(ens.members):
         p = np.clip(np.einsum("ki,ij,jk->k", u, rho.mat, u.conj().T).real, 0.0, None)

@@ -2,18 +2,19 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqst import bench
 from pqst.bench import (BenchError, DEFAULT_SHOT_GRID, FIXTURE_NAMES, METHODS,
-                        MseResult, bench_rows, method_ensembles,
+                        MseResult, bench_rows, draw_estimates, method_ensembles,
                         fit_scaling, load_fixture, measurement_models,
                         mse_experiment, pqst_auto_ensembles,
                         write_csv)
 from pqst.channels import apply_inverse
 from pqst.ensembles import clifford_ensemble, mub_ensemble, \
     pauli_local_ensemble, zeta_m_active
-from pqst.operators import expectation, parse_observable
-from pqst.qcore import DensityMatrix, born_table
+from pqst.operators import Observable, PauliString, expectation, parse_observable
+from pqst.qcore import DensityMatrix, QcoreError, born_table, spawn_rng
 from pqst.shadow import CoverageError, pattern_owners
 from pqst.golden import random_density_matrix
 from conftest import random_hermitian, reference_cells
@@ -114,6 +115,28 @@ def test_measurement_models_probabilities():
             assert m.values.shape == m.probs.shape
     with pytest.raises(BenchError):
         measurement_models(state, obs, "haar")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PANELS), st.sampled_from(METHODS), st.integers(-40, 20),
+       st.integers(0, 2**32))
+def test_sampled_estimates_scale_with_the_observable(panel, method, k, seed):
+    # 2^k scales every float exactly, so the cell merge, the draws and both
+    # reported numbers must scale by exactly 2^k, however small the observable
+    state, obs = load_fixture(panel[0]).state, load_fixture(panel[1]).observable
+    scaled = Observable([PauliString(t.word, t.coeff * 2.0**k) for t in obs.terms])
+    est, err = draw_estimates(measurement_models(state, obs, method), 1000,
+                              spawn_rng(seed, 0), 3)
+    est_k, err_k = draw_estimates(measurement_models(state, scaled, method), 1000,
+                                  spawn_rng(seed, 0), 3)
+    assert est_k.tolist() == (est * 2.0**k).tolist()
+    assert err_k.tolist() == (err * 2.0**k).tolist()
+
+
+def test_non_finite_cell_values_are_a_numerical_error():
+    state = load_fixture("rho2").state
+    with pytest.raises(QcoreError, match="non-finite"):
+        measurement_models(state, parse_observable("1e308 XX; 1e308 XX"), "pqst")
 
 
 def test_mse_experiment_unbiased_and_scaling():

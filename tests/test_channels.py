@@ -71,7 +71,7 @@ def test_apply_inverse_batched_equals_per_operator(n, rng):
 
 def test_forward_channel_trace_preserving(rng):
     rho = random_density_matrix(2, rng)
-    out = forward_channel_exact(zeta_x(2), rho)
+    out = forward_channel_exact(zeta_x(2), rho.mat)
     assert complex(np.trace(out)).real == pytest.approx(1.0, abs=1e-12)
     # channel output is diagonal-dominant mixing: Hermitian
     assert np.abs(out - out.conj().T).max() < 1e-12
@@ -95,7 +95,7 @@ def test_pseudo_inverse_unbiased_at_full_p(rng):
     # but clifford/mub with the depolarizing inverse recover rho exactly
     rho = random_density_matrix(2, rng)
     for ens in (clifford_ensemble(2), mub_ensemble(2)):
-        est = apply_inverse(ens, forward_channel_exact(ens, rho))
+        est = apply_inverse(ens, forward_channel_exact(ens, rho.mat))
         assert np.abs(est - rho.mat).max() < 1e-10
 
 
@@ -103,10 +103,10 @@ def test_clifford_closure_channel_is_depolarizing(rng):
     rho = random_density_matrix(2, rng)
     group = enumerate_clifford_group(2)
     ens = UnitaryEnsemble("closure", group, 5.0, frozenset(range(4)))
-    assert np.abs(forward_channel_exact(ens, rho)
+    assert np.abs(forward_channel_exact(ens, rho.mat)
                   - depolarizing_channel(2, rho.mat)).max() < 1e-10
     # the 15-basis reduction computes the same channel 768x faster
-    assert np.abs(forward_channel_exact(clifford_ensemble(2), rho)
+    assert np.abs(forward_channel_exact(clifford_ensemble(2), rho.mat)
                   - depolarizing_channel(2, rho.mat)).max() < 1e-10
 
 
@@ -114,7 +114,7 @@ def test_clifford_channel_is_depolarizing_at_n4(rng):
     rho = random_density_matrix(4, rng)
     ens = clifford_ensemble(4)
     assert (ens.n, ens.size, ens.p) == (4, 2295, 17.0)
-    assert np.abs(forward_channel_exact(ens, rho)
+    assert np.abs(forward_channel_exact(ens, rho.mat)
                   - depolarizing_channel(4, rho.mat)).max() <= 1e-10
 
 
@@ -141,7 +141,7 @@ def test_per_site_inverse_recovers_rho_for_pauli_set(rng):
 def test_per_site_inverse_fails_for_zeta_x(rng):
     # negative control: the Pauli set's per-site inverse is wrong for the zeta_X set
     rho = random_density_matrix(2, rng)
-    est = apply_inverse(pauli_local_ensemble(2), forward_channel_exact(zeta_x(2), rho))
+    est = apply_inverse(pauli_local_ensemble(2), forward_channel_exact(zeta_x(2), rho.mat))
     trusted_resid = max(
         np.abs(np.diag(est) - np.diag(rho.mat)).max(),
         abs(est[0, 3] - rho.mat[0, 3]), abs(est[1, 2] - rho.mat[1, 2]))

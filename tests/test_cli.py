@@ -1,7 +1,12 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from pqst.bench import load_fixture
 from pqst.cli import main
@@ -95,7 +100,7 @@ def test_reconstruct_report_file(tmp_path):
 
 
 @pytest.mark.parametrize("mode,fidelity,warned", [
-    (["--exact"], "1.0000000264", False),  # eigensolver noise stays below the flag
+    (["--exact"], "1.0000000105", False),  # eigensolver noise stays below the flag
     (["--shots", "100000", "--seed", "11"], "1.0009402818", True),
 ])
 def test_reconstruct_warns_on_stderr_of_a_fidelity_above_one(mode, fidelity, warned):
@@ -424,3 +429,104 @@ def test_state_files_are_validated_strictly(tmp_path, monkeypatch, rng, n):
     result = CliRunner().invoke(main, command)
     assert result.exit_code == 1
     assert result.stderr == "error: density matrix trace differs from 1 by 4.00e-03\n"
+
+
+# The exit-code contract, over the grammar of every command that reads input.
+# Values are drawn with each flag's click type, so the property is about pqst's
+# own checks. --trials and --shots-grid are bounded by value (<= 20 trials, <= 2
+# budgets <= 1000; the budget 2^63 is rejected before any run). Valid values are
+# drawn more often than invalid ones, so that most calls get past the first check.
+_STATE_FIXTURES = {"rho2": 2, "rho2X": 2, "table2-i": 2, "rho3": 3, "rho3X": 3,
+                   "O2X": 2, "nope": 2, "": 2, ".": 2}
+_STATE_KINDS = ["valid"] * 6 + ["trace", "hermitian", "negative", "huge", "nan", "truncated"]
+_SET_SPECS = ["zeta-X,zeta-A:1|zeta-A:2", "zeta-X,zeta-m:1,zeta-m:2,zeta-m:3",
+              "zeta-X,zeta-m:1,zeta-m:2", "zeta-X,zeta-m:1", "pauli", "clifford", "mub",
+              "zeta-m:1", "zeta-X,zeta-X", "zeta-A:x", "zeta-m:9", "zeta-A:1|zeta-A:1,2",
+              "", ","]
+_OBS_FIXTURES = ["O2X", "O2", "O2NX", "O3", "O3X", "O3NX", "rho2", "O9", ""]
+_COEFFS = ["0", "-0", "1e-300", "5e-324", "1e-10", "1", "-3.5", "12", "1e200", "1e308",
+           "-1e308", "inf", "nan", "x"]
+_SHOTS = st.one_of(st.sampled_from([0, -1, 2**63, 2**63 - 1]), st.integers(1, 2000))
+_SEEDS = st.one_of(st.sampled_from([None, -1, 2**63]), st.integers(0, 50), st.integers(0, 50))
+
+
+@st.composite
+def _states(draw, path):
+    """(--state value, n): a fixture name, or a JSON file of a random state of
+    1..4 qubits, as it is or broken."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_STATE_FIXTURES)))
+        return name, _STATE_FIXTURES[name]
+    n = draw(st.integers(1, 4))
+    rho = random_density_matrix(n, np.random.default_rng(draw(st.integers(0, 99)))).mat
+    kind = draw(st.sampled_from(_STATE_KINDS))
+    rho = {"trace": 1.01 * rho, "hermitian": rho + np.triu(np.full_like(rho, 0.1), 1),
+           "negative": rho + np.diag(np.r_[1.0, np.zeros(len(rho) - 2), -1.0]),
+           "huge": rho * 1e308, "nan": rho * np.nan}.get(kind, rho)
+    text = json.dumps({"n_qubits": n, "re": rho.real.ravel().tolist(),
+                       "im": rho.imag.ravel().tolist()})
+    path.write_text(text[:len(text) // 2] if kind == "truncated" else text)
+    return str(path), n
+
+
+@st.composite
+def _observables(draw, n):
+    """A catalogue name, or 1..3 terms, mostly on the state's n qubits."""
+    if not draw(st.integers(0, 3)):
+        return draw(st.sampled_from(_OBS_FIXTURES))
+    width = draw(st.sampled_from([n, n, n, 1, 2, 3, 4]))
+    terms = draw(st.lists(st.tuples(st.sampled_from(_COEFFS),
+                                    st.text("IXYZ", min_size=width, max_size=width)),
+                          min_size=1, max_size=3))
+    return "; ".join(f"{c} {w}" for c, w in terms)
+
+
+@st.composite
+def _invocations(draw, tmp):
+    command = draw(st.sampled_from(["estimate", "reconstruct", "ensemble-info", "bench"]))
+    if command == "ensemble-info":
+        return [command, "--ensemble", draw(st.sampled_from(_SET_SPECS)),
+                "--n", str(draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 2**63])))]
+    state, n = draw(_states(tmp / "state.json"))
+    args = [command, "--state", state]
+    seed = draw(_SEEDS)
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    if command == "bench":
+        budgets = draw(st.lists(st.one_of(st.sampled_from([0, -5, 2**63]),
+                                          st.integers(1, 1000), st.integers(1, 1000)),
+                                min_size=1, max_size=2))
+        methods = draw(st.lists(st.sampled_from(["pqst-auto", "pqst", "pauli", "clifford",
+                                                 "mub", "haar"]), min_size=1, max_size=2))
+        return args + ["--obs", draw(_observables(n)), "--methods", ",".join(methods),
+                       "--shots-grid", ",".join(map(str, budgets)),
+                       "--trials", str(draw(st.sampled_from([-1, 0, 1, 2, 20]))),
+                       "--output", str(tmp / "out.csv")]
+    if draw(st.booleans()):
+        args.append("--exact")
+    else:
+        args += ["--shots", str(draw(_SHOTS))]
+    if command == "estimate":
+        return args + ["--obs", draw(_observables(n)), "--method", draw(st.sampled_from(
+            ["pqst", "pqst-auto", "pqst-rotated", "pauli", "clifford", "mub"]))]
+    return args + ["--sets", draw(st.sampled_from(_SET_SPECS))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_invocation_keeps_the_exit_code_contract(data):
+    """Exit 0, 1 or 2 and no traceback; exits 1 and 2 print exactly one error: line."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        args = data.draw(_invocations(Path(tmp)), label="args")
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    if result.exit_code:
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        # outside a test run each warning is printed to stderr, ahead of the error line
+        assert [str(w.message) for w in caught] == []

@@ -1,6 +1,7 @@
-"""Every public top-level function or class in src/pqst is reached by the program
-or documented: some pqst module (its own included), a script or a perfbench
-file refers to it, or the README names it in backticks. Tests do not count."""
+"""Every public top-level function or class in src/pqst, and every public method,
+property or `name = property(...)` of its classes, is reached by the program or
+documented: some pqst module (its own included), a script or a perfbench file
+reads it, or the README names it in backticks. Tests do not count."""
 
 import ast
 import re
@@ -20,16 +21,27 @@ def _click_command(node) -> bool:
 
 
 def _referenced(tree) -> set[str]:
-    """Names read, attributes read and names imported anywhere in `tree`."""
+    """Names read, attributes read and names imported anywhere in `tree`; the
+    target of an assignment is no reference."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names |= {alias.name for alias in node.names}
     return names
+
+
+def _members(cls) -> list[str]:
+    """The public methods and properties of a class, `name = property(...)` included."""
+    names = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+    names += [target.id for node in cls.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+              and node.value.func.id == "property"
+              for target in node.targets if isinstance(target, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def unreached_names() -> list[str]:
@@ -45,6 +57,9 @@ def unreached_names() -> list[str]:
                     and not node.name.startswith("_") and not _click_command(node)
                     and node.name not in referenced | documented):
                 found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [f"{path.stem}.{node.name}.{member}" for member in _members(node)
+                          if member not in referenced | documented]
     return found
 
 

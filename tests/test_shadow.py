@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from pqst.bench import load_fixture
-from pqst.channels import snapshot_moments
-from pqst.ensembles import (clifford_ensemble, mub_ensemble, parse_ensemble_list,
-                            pauli_local_ensemble, zeta_A, zeta_m_active,
-                            zeta_union, zeta_x)
+from pqst.channels import apply_inverse, forward_channel_exact, snapshot_moments
+from pqst.ensembles import (UnitaryEnsemble, clifford_ensemble, enumerate_clifford_group,
+                            mub_ensemble, parse_ensemble_list, pauli_local_ensemble,
+                            zeta_A, zeta_m_active, zeta_union, zeta_x)
 from pqst.operators import activity_of_indices, expectation, parse_observable, \
     pattern_name
 from pqst.qcore import spawn_rng
@@ -100,8 +100,8 @@ def test_sampled_pses_are_unbiased_with_the_exact_variance(n):
     rho = random_density_matrix(n, np.random.default_rng(90 + n))
     draws, shots = (160 if n < 4 else 80), 500
     for index, ens in enumerate(_every_set(n)):
-        exact = ensemble_pse(rho, ens).estimate
-        mean, second = snapshot_moments(ens, cell_probabilities(ens, rho) / ens.size)
+        exact = apply_inverse(ens, forward_channel_exact(ens, rho.mat))
+        mean, second = snapshot_moments(ens, cell_probabilities(ens, rho))
         assert np.abs(mean - exact).max() < 1e-12, ens.name
         sigma2 = (second - np.abs(mean)**2) / shots
         pses = np.array([sampled_pse(rho, ens, shots, spawn_rng(n, index, r)).estimate
@@ -111,6 +111,32 @@ def test_sampled_pses_are_unbiased_with_the_exact_variance(n):
         spread = sigma2 > 1e-12
         ratio = np.median(pses.var(axis=0, ddof=1)[spread] / sigma2[spread])
         assert 0.8 <= ratio <= 1.25, (ens.name, ratio)
+
+
+_RELAXED_FIXTURES = {2: ("rho2", "rho2X"), 3: ("rho3", "rho3X")}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ensemble_pse_equals_the_dense_forward_channel(n):
+    # the exact PSE is the snapshot mean at the raw Born table; the oracle is the
+    # independent einsum of the forward channel. The relaxed fixtures miss trace 1
+    # and PSD at the 1e-3 level, so a clipped or normalised table would show
+    states = [random_density_matrix(n, np.random.default_rng(30 + n))]
+    states += [load_fixture(name).state for name in _RELAXED_FIXTURES.get(n, ())]
+    sets = _every_set(n)
+    if n > 1:
+        sets.append(zeta_union(n, [{q} for q in range(1, n + 1)]))
+    if n > 2:
+        sets.append(zeta_union(n, [set(a) for a in itertools.combinations(range(1, n + 1), 2)]))
+    if n == 4:
+        sets.append(clifford_ensemble(4))
+    if n <= 2:
+        sets.append(UnitaryEnsemble("clifford-closure", enumerate_clifford_group(n),
+                                    2.0**n + 1, frozenset()))
+    for rho in states:
+        for ens in sets:
+            oracle = apply_inverse(ens, forward_channel_exact(ens, rho.mat))
+            assert np.abs(ensemble_pse(rho, ens).estimate - oracle).max() < 1e-12, ens.name
 
 
 def test_ensemble_pse_trusted_entries(rng):
@@ -174,9 +200,9 @@ def test_identity_member_cell_probabilities_are_the_populations():
     state = load_fixture("table2-iii").state
     ens = zeta_x(2)
     probs = cell_probabilities(ens, state)
-    assert probs.shape == (5, 4)
+    assert probs.shape == (5 * 4,)
     identity = [member_word(ens, i) for i in range(ens.size)].index(("1", "1"))
-    assert np.allclose(probs[identity], np.diag(state.mat).real)
+    assert np.allclose(probs.reshape(5, 4)[identity] * ens.size, np.diag(state.mat).real)
 
 
 _ZETA_X_AND_ZETA_1 = (zeta_x(2), zeta_union(2, [{1}, {2}]))
