@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import cos, pi, sin, sqrt
+from math import cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .operators import Observable, PAULI_1Q, activity_support, expectation, \
     parse_observable, pattern_qubits
 from .ensembles import UnitaryEnsemble, parse_ensemble_spec, zeta_union, zeta_x
 from .channels import apply_inverse
-from .shadow import CoverageError, cell_probabilities, pattern_owners
+from .shadow import cell_probabilities, pattern_owners
 
 DEFAULT_SHOT_GRID = (100, 1000, 10_000, 100_000)
 DEFAULT_TRIALS = 1000
@@ -231,23 +231,30 @@ def measurement_models(state: DensityMatrix, obs: Observable, method: str):
             part = apply_inverse(ens, sum(t.matrix() for t in terms))
             values = born_table(ens.members, part).real.ravel()
         models.append(_merge_cells(ens, cell_probabilities(ens, state), values, part))
-    if not models:
-        raise CoverageError("no measurement model owns any observable term")
     return models
 
 
 def draw_estimates(models, shots: int, rng: np.random.Generator, size: int):
     """`size` independent estimates of <O> at `shots` shots per model, with the
-    standard error each estimate reports from its own cell counts."""
+    standard error each estimate reports from its own cell counts. The sums run
+    in units of 2^e, the least power of 2 above every |cell value|: an exact
+    scaling, so no square overflows and no bit of a finite result moves. A
+    result beyond the float range is a QcoreError."""
+    e = max(np.frexp(np.abs(model.values).max())[1] for model in models)
     est = np.zeros(size)
     var = np.zeros(size)
     for model in models:
         counts = rng.multinomial(shots, model.probs, size=size)
-        part = counts @ model.values / shots
-        second = counts @ model.values**2 / shots
+        values = np.ldexp(model.values, -e)
+        part = counts @ values / shots
+        second = counts @ values**2 / shots
         est += part
         var += np.clip(second - part**2, 0.0, None) / shots
-    return est, np.sqrt(var)
+    with np.errstate(over="ignore"):
+        est, err = np.ldexp(est, e), np.ldexp(np.sqrt(var), e)
+    if not (np.isfinite(est).all() and np.isfinite(err).all()):
+        raise QcoreError("sampled estimate overflows the float range")
+    return est, err
 
 
 def mse_experiment(state: DensityMatrix, observable: Observable, method: str,
@@ -273,9 +280,12 @@ def mse_experiment(state: DensityMatrix, observable: Observable, method: str,
             draw_estimates(models, shots, spawn_rng(seed, b_idx, block),
                            min(TRIAL_BLOCK, trials - start))[0]
             for block, start in enumerate(range(0, trials, TRIAL_BLOCK))])
-        errors = (estimates - true_value) ** 2
-        mse = float(errors.mean())
-        stderr = float(errors.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            errors = (estimates - true_value) ** 2
+            mse = float(errors.mean())
+            stderr = float(errors.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
+        if not (isfinite(mse) and isfinite(stderr)):
+            raise QcoreError(f"the MSE at {shots} shots overflows the float range")
         results.append(MseResult(method=method, shots=shots, trials=trials,
                                  mse=mse, stderr=stderr, true_value=true_value))
     return results

@@ -7,18 +7,14 @@ import numpy as np
 from .qcore import born_table
 from .ensembles import UnitaryEnsemble
 
-# Members per batch in forward_channel_exact and snapshot_moments: all 11,520 n=2
-# Clifford elements, or 2,295 n=4 stabilizer bases, at once cost MBs of peak memory.
+# Members per batch in the contractions below: all 11,520 n=2 Clifford elements, or
+# 2,295 n=4 stabilizer bases, at once cost MBs of peak memory.
 _CHUNK = 1024
-
-
-class ChannelError(ValueError):
-    pass
 
 
 def forward_channel_exact(ensemble: UnitaryEnsemble, rho: np.ndarray) -> np.ndarray:
     """(1/|zeta|) sum_U sum_k <k|U rho U^dag|k> U^dag|k><k|U on the last two axes of
-    an array or a stack: the dense oracle that snapshot_moments is checked against."""
+    an array or a stack: the dense oracle that snapshot_mean is checked against."""
     out = np.zeros(np.shape(rho), dtype=complex)
     for start in range(0, ensemble.size, _CHUNK):
         u = ensemble.members[start:start + _CHUNK]
@@ -30,8 +26,6 @@ def forward_channel_exact(ensemble: UnitaryEnsemble, rho: np.ndarray) -> np.ndar
 
 def pseudo_inverse(p: float, a: np.ndarray) -> np.ndarray:
     """M_p^{-1}(A) = p A - 1."""
-    if p <= 0:
-        raise ChannelError("pseudo-inverse strength must be positive")
     a = np.asarray(a, dtype=complex)
     return p * a - np.eye(a.shape[0])
 
@@ -73,20 +67,29 @@ def apply_inverse(ensemble: UnitaryEnsemble, a) -> np.ndarray:
     return _apply_map(ensemble, np.asarray(a, dtype=complex), _inverse_map)
 
 
-def snapshot_moments(ensemble: UnitaryEnsemble, weights) -> tuple[np.ndarray, np.ndarray]:
-    """sum_c w_c M^{-1}(P_c) and sum_c w_c |M^{-1}(P_c)|^2 (entrywise) over cells c = (U, k),
-    P_c = U^dag|k><k|U, weights (size, 2^n): M^{-1}(R^dag diag(w) R), R the rows <k|U, and,
-    as each P_c has rank 1 and trace 1, _moment_map of A^T diag(w) A, A = |R|^2 (per qubit
-    when p is None: {1, H, HS} words have product-state rows)."""
+def snapshot_mean(ensemble: UnitaryEnsemble, weights) -> np.ndarray:
+    """sum_c w_c M^{-1}(P_c) over cells c = (U, k), P_c = U^dag|k><k|U, weights
+    (size, 2^n): M^{-1}(R^dag diag(w) R), R the rows <k|U."""
     d = ensemble.members.shape[-1]
     weights = np.reshape(weights, (ensemble.size, d))
-    mean, gram = np.zeros((d, d), dtype=complex), np.zeros((d, d))
+    mean = np.zeros((d, d), dtype=complex)
     for start in range(0, ensemble.size, _CHUNK):
         rows = ensemble.members[start:start + _CHUNK].reshape(-1, d)
-        w = weights[start:start + _CHUNK].reshape(-1, 1)
-        scaled = w * rows
+        scaled = weights[start:start + _CHUNK].reshape(-1, 1) * rows
         mean += np.conjugate(scaled, out=scaled).T @ rows
         del scaled  # below the Born table's peak for the n=4 Clifford set
+    return apply_inverse(ensemble, mean)
+
+
+def snapshot_moments(ensemble: UnitaryEnsemble, weights) -> tuple[np.ndarray, np.ndarray]:
+    """snapshot_mean and sum_c w_c |M^{-1}(P_c)|^2 (entrywise): as each P_c has rank 1
+    and trace 1, _moment_map of A^T diag(w) A, A = |R|^2 (per qubit when p is None:
+    {1, H, HS} words have product-state rows)."""
+    d = ensemble.members.shape[-1]
+    weights = np.reshape(weights, (ensemble.size, d))
+    gram = np.zeros((d, d))
+    for start in range(0, ensemble.size, _CHUNK):
+        rows = ensemble.members[start:start + _CHUNK].reshape(-1, d)
         a = rows.real**2 + rows.imag**2
-        gram += (w * a).T @ a
-    return apply_inverse(ensemble, mean), _apply_map(ensemble, gram, _moment_map)
+        gram += (weights[start:start + _CHUNK].reshape(-1, 1) * a).T @ a
+    return snapshot_mean(ensemble, weights), _apply_map(ensemble, gram, _moment_map)

@@ -21,7 +21,6 @@ from .operators import Observable, ObservableError, format_observable, \
     parse_observable, rotate_to_x_structure
 from .ensembles import EnsembleError, ensemble_info, parse_ensemble_list, \
     parse_ensemble_spec
-from .channels import ChannelError
 from .shadow import FIDELITY_SLACK, MAX_SHOTS, CoverageError, ensemble_pse, \
     estimate_observable, reconstruct_state
 from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, FIXTURE_NAMES, \
@@ -30,7 +29,6 @@ from .bench import BenchError, DEFAULT_SHOT_GRID, DEFAULT_TRIALS, FIXTURE_NAMES,
 from .golden import run_validation
 
 _USAGE_ERRORS = (EnsembleError, ObservableError, BenchError, CoverageError, StateFileError)
-_NUMERICAL_ERRORS = (QcoreError, ChannelError)
 
 
 def _fail(message: str, code: int):
@@ -45,9 +43,7 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except _USAGE_ERRORS as exc:
             _fail(str(exc), 2)
-        except _NUMERICAL_ERRORS as exc:
-            _fail(str(exc), 1)
-        except OSError as exc:
+        except (QcoreError, OSError) as exc:
             _fail(str(exc), 1)
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__

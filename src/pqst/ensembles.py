@@ -29,7 +29,8 @@ from math import comb, prod
 import numpy as np
 
 from .qcore import HADAMARD, HS, ID2, MAX_QUBITS, PHASE_S, kron_all
-from .operators import PAULI_1Q, pattern_mask, pattern_order, pattern_qubits
+from .operators import pattern_mask, pattern_order, pattern_qubits, pauli_action, \
+    pauli_table
 
 
 class EnsembleError(ValueError):
@@ -55,17 +56,6 @@ class UnitaryEnsemble:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-# ---------------------------------------------------------------------------
-# Phase canonicalization: scale each matrix of a stack so its first entry
-# (row-major) above 1e-9 in modulus is real positive. Shadows are
-# phase-invariant, so dedup works on these forms.
-
-def canonical_phase(stack: np.ndarray) -> np.ndarray:
-    flat = stack.reshape(len(stack), prod(stack.shape[1:]))
-    z = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
-    return stack * (np.abs(z) / z)[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +149,11 @@ _BATCH = 128
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
-def _pauli_action(gens: np.ndarray, n: int) -> np.ndarray:
-    """Each generator's action on signed Pauli codes s 4^n + m, (-1)^s the sign
-    and m the _pauli_table mask: entry [g, s 4^n + m] codes g (-1)^s P_m g^dag."""
-    paulis = _pauli_table(n)
-    images = gens[:, None] @ paulis @ gens.conj().transpose(0, 2, 1)[:, None]
-    overlap = np.einsum("bji,gaij->gab", paulis, images).real / 2**n
-    mask = np.abs(overlap).argmax(axis=2)
-    sign = np.take_along_axis(overlap, mask[..., None], axis=2)[..., 0] < 0
-    assert np.abs(images - np.where(sign, -1, 1)[..., None, None] * paulis[mask]).max() < 1e-12
-    act = (mask + 4**n * sign).astype(np.uint8)  # codes < 2 4^n <= 32
-    return np.concatenate([act, act ^ 4**n], axis=1)
-
-
 @lru_cache(maxsize=None)
 def enumerate_clifford_group(n: int) -> np.ndarray:
     """All elements of Cl(2^n) modulo global phase, by closure of generators,
-    as one stack in breadth-first order.
+    as one stack in breadth-first order. Each element keeps the phase of the
+    product that first reached it; a global phase never reaches a channel.
 
     The stack is allocated at the group order 4^n |Sp(2n, 2)| = 2^(n^2+2n)
     prod_j (4^j - 1) (24 and 11,520) and filled in place; each breadth-first
@@ -183,7 +161,7 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
     multiplied by every generator, in (frontier member, generator) order. A
     Clifford is fixed up to phase by its signed images of the 2n one-bit Pauli
     words (Aaronson and Gottesman, PRA 70, 052328 (2004)): a product is new
-    unless its images, read from _pauli_action and packed into one code below
+    unless its images, read from pauli_action and packed into one code below
     (2 4^n)^(2n), are marked in a bitmap. Only new products become matrices.
     """
     if n == 1:
@@ -196,7 +174,7 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
         raise EnsembleError("closure enumeration supported only for n <= 2")
     d = 2**n
     gens = np.stack(gens)
-    act = _pauli_action(gens, n)
+    act = pauli_action(gens, n)
     group = np.empty((2**(n * n + 2 * n) * prod(4**j - 1 for j in range(1, n + 1)), d, d),
                      dtype=complex)
     group[0] = np.eye(d)
@@ -215,7 +193,7 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
             new = np.sort(first[(seen[keys[first] >> 3] >> (keys[first] & 7) & 1) == 0])
             np.bitwise_or.at(seen, keys[new] >> 3, (1 << (keys[new] & 7)).astype(np.uint8))
             parent, gen = np.divmod(new, len(gens))
-            group[size:size + len(new)] = canonical_phase(gens[gen] @ group[lo + parent])
+            group[size:size + len(new)] = gens[gen] @ group[lo + parent]
             images[size:size + len(new)] = codes[new]
             size += len(new)
         start, end = end, size
@@ -225,20 +203,7 @@ def enumerate_clifford_group(n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Stabilizer measurement bases and MUBs via maximal isotropic subspaces. A
-# Pauli word is an interleaved bitmask with qubit 1 most significant, as in
-# the computational-basis index: qubit q's x bit is bit 2(n - q) + 1 and its z
-# bit is bit 2(n - q). A class is a sorted tuple of these ints.
-
-@lru_cache(maxsize=None)
-def _pauli_table(n: int) -> np.ndarray:
-    """The Hermitian Pauli i^{x.z} X^x Z^z of every bitmask, indexed by the
-    mask: the Kronecker-ordered table of [I, Z, X, Y] over the qubits."""
-    one = np.stack([PAULI_1Q["I"], PAULI_1Q["Z"], PAULI_1Q["X"], PAULI_1Q["Y"]])
-    table = np.ones((1, 1, 1), dtype=complex)
-    for k in range(1, n + 1):
-        table = np.einsum("aij,bkl->abikjl", table, one).reshape(4**k, 2**k, 2**k)
-    return table
-
+# class is a sorted tuple of Pauli words as operators.pauli_table masks.
 
 @lru_cache(maxsize=None)
 def maximal_isotropic_subspaces(n: int) -> tuple:
@@ -285,7 +250,7 @@ def _class_bases(classes, n: int) -> np.ndarray:
     exact. Rows are in ascending eigenvalue of sum_i 3^i P_i over the class in
     sorted order; the weights make those eigenvalues distinct.
     """
-    paulis = _pauli_table(n)
+    paulis = pauli_table(n)
     masks = np.array(classes)
     # a sorted class lists its span in the binary order of the coefficients over
     # a reduced basis, so the words at positions 2^j - 1 are independent

@@ -6,11 +6,11 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qcore import HADAMARD, ID2, PHASE_S, dag, kron_all
+from .qcore import HADAMARD, ID2, PHASE_S, kron_all
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -135,25 +135,38 @@ def is_x_structured(obs: Observable) -> bool:
     return all(set(t.word) <= {"I", "Z"} or set(t.word) <= {"X", "Y"} for t in obs.terms)
 
 
-# Per-qubit rotation candidates and their conjugation action on Pauli letters.
-# HSH sends Y -> Z (and fixes X up to sign); H swaps X and Z.
-_HSH = HADAMARD @ PHASE_S @ HADAMARD
-_ROTATION_CANDIDATES = (("1", ID2), ("H", HADAMARD), ("HSH", _HSH))
+# ---------------------------------------------------------------------------
+# A Pauli word is an integer mask with qubit 1 most significant, as in basis
+# indices: qubit q's x bit is bit 2(n - q) + 1 and its z bit is bit 2(n - q),
+# so one qubit's I, Z, X, Y are 0, 1, 2, 3.
+
+@lru_cache(maxsize=None)
+def pauli_table(n: int) -> np.ndarray:
+    """The Hermitian Pauli i^{x.z} X^x Z^z of every bitmask, indexed by the
+    mask: the Kronecker-ordered table of [I, Z, X, Y] over the qubits."""
+    one = np.stack([PAULI_1Q["I"], PAULI_1Q["Z"], PAULI_1Q["X"], PAULI_1Q["Y"]])
+    table = np.ones((1, 1, 1), dtype=complex)
+    for k in range(1, n + 1):
+        table = np.einsum("aij,bkl->abikjl", table, one).reshape(4**k, 2**k, 2**k)
+    return table
 
 
-def _letter_action(v: np.ndarray) -> dict[str, tuple[str, float]]:
-    action = {"I": ("I", 1.0)}
-    for letter in "XYZ":
-        m = v @ PAULI_1Q[letter] @ dag(v)
-        for target in "XYZ":
-            for sign in (1.0, -1.0):
-                if np.abs(m - sign * PAULI_1Q[target]).max() < 1e-12:
-                    action[letter] = (target, sign)
-    return action
+def pauli_action(gens: np.ndarray, n: int) -> np.ndarray:
+    """Each Clifford's action on signed Pauli codes s 4^n + m, (-1)^s the sign
+    and m the pauli_table mask: entry [g, s 4^n + m] codes g (-1)^s P_m g^dag.
+    Codes are below 2 4^n, so their uint8 fits n <= 3."""
+    paulis = pauli_table(n)
+    images = gens[:, None] @ paulis @ gens.conj().transpose(0, 2, 1)[:, None]
+    overlap = np.einsum("bji,gaij->gab", paulis, images).real / 2**n
+    mask = np.abs(overlap).argmax(axis=2)
+    sign = np.take_along_axis(overlap, mask[..., None], axis=2)[..., 0] < 0
+    assert np.abs(images - np.where(sign, -1, 1)[..., None, None] * paulis[mask]).max() < 1e-12
+    act = (mask + 4**n * sign).astype(np.uint8)
+    return np.concatenate([act, act ^ 4**n], axis=1)
 
 
-_ACTIONS = {name: _letter_action(v) for name, v in _ROTATION_CANDIDATES}
-_CAND_MATS = dict(_ROTATION_CANDIDATES)
+# Per-qubit rotation candidates: H swaps X and Z; HSH sends Y -> Z and fixes X.
+_ROTATION_CANDIDATES = (("1", ID2), ("H", HADAMARD), ("HSH", HADAMARD @ PHASE_S @ HADAMARD))
 
 
 def rotate_to_x_structure(obs: Observable):
@@ -163,21 +176,21 @@ def rotate_to_x_structure(obs: Observable):
     assignment of per-qubit candidates X-structures every term simultaneously.
     Always succeeds for a single Pauli string.
     """
-    names = [name for name, _ in _ROTATION_CANDIDATES]
-    for assign in itertools.product(names, repeat=obs.n):
+    names, mats = zip(*_ROTATION_CANDIDATES)
+    # each candidate's (image letter, sign) of every letter, read from its action
+    action = [{letter: ("IZXY"[code % 4], -1.0 if code >= 4 else 1.0)
+               for letter, code in zip("IZXY", row)}
+              for row in pauli_action(np.stack(mats), 1)]
+    for assign in itertools.product(range(len(names)), repeat=obs.n):
         rotated = []
         for t in obs.terms:
-            coeff = t.coeff
-            word = []
-            for j, letter in enumerate(t.word):
-                target, sign = _ACTIONS[assign[j]][letter]
-                word.append(target)
-                coeff *= sign
-            rotated.append(PauliString("".join(word), coeff))
+            images = [action[a][letter] for a, letter in zip(assign, t.word)]
+            rotated.append(PauliString("".join(target for target, _ in images),
+                                       t.coeff * math.prod(sign for _, sign in images)))
         candidate = Observable(rotated)
         if is_x_structured(candidate):
-            u = kron_all(*(_CAND_MATS[a] for a in assign))
-            return u, candidate, tuple(assign)
+            u = kron_all(*(mats[a] for a in assign))
+            return u, candidate, tuple(names[a] for a in assign)
     return None
 
 

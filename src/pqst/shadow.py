@@ -4,14 +4,15 @@ combination by pattern ownership, observable estimation and reconstruction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
-from .qcore import DensityMatrix, born_table, dag, fidelity_with_clip, spawn_rng
+from .qcore import DensityMatrix, QcoreError, born_table, dag, fidelity_with_clip, spawn_rng
 from .operators import Observable, activity_of_indices, expectation, pattern_name, \
     pattern_order
 from .ensembles import UnitaryEnsemble
-from .channels import snapshot_moments
+from .channels import snapshot_mean, snapshot_moments
 
 
 class CoverageError(ValueError):
@@ -57,7 +58,7 @@ def ensemble_pse(rho: DensityMatrix, ensemble: UnitaryEnsemble) -> PartialShadow
     """Exact PSE (diagonal-tomography mode): the snapshot mean at the raw Born
     table / |zeta|, neither clipped nor normalised, so it is linear in rho."""
     weights = born_table(ensemble.members, rho.mat).real / ensemble.size
-    return PartialShadowEstimator(snapshot_moments(ensemble, weights)[0], ensemble, 0)
+    return PartialShadowEstimator(snapshot_mean(ensemble, weights), ensemble, 0)
 
 
 def pattern_owners(sets, terms=()) -> dict:
@@ -103,9 +104,13 @@ def combine_pses(pses) -> np.ndarray:
 
 
 def estimate_observable(obs: Observable, pses) -> float:
-    """Tr(O rho_hat) with each Pauli term read off the PSE trusting its pattern."""
+    """Tr(O rho_hat) with each Pauli term read off the PSE trusting its pattern;
+    a sum beyond the float range is a QcoreError."""
     owners = pattern_owners([p.ensemble for p in pses], obs.terms)
-    return sum(expectation(t.matrix(), pses[owners[t.activity]].estimate) for t in obs.terms)
+    value = sum(expectation(t.matrix(), pses[owners[t.activity]].estimate) for t in obs.terms)
+    if not isfinite(value):
+        raise QcoreError("estimate overflows the float range")
+    return value
 
 
 FIDELITY_SLACK = 1e-6  # above the eigensolver's noise on exact runs (up to ~3e-8)

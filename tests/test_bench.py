@@ -118,11 +118,13 @@ def test_measurement_models_probabilities():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(PANELS), st.sampled_from(METHODS), st.integers(-40, 20),
+@given(st.sampled_from(PANELS), st.sampled_from(METHODS),
+       st.one_of(st.integers(-40, 20), st.integers(-900, -500), st.integers(500, 900)),
        st.integers(0, 2**32))
 def test_sampled_estimates_scale_with_the_observable(panel, method, k, seed):
     # 2^k scales every float exactly, so the cell merge, the draws and both
     # reported numbers must scale by exactly 2^k, however small the observable
+    # and however large, including where a squared cell value leaves the range
     state, obs = load_fixture(panel[0]).state, load_fixture(panel[1]).observable
     scaled = Observable([PauliString(t.word, t.coeff * 2.0**k) for t in obs.terms])
     est, err = draw_estimates(measurement_models(state, obs, method), 1000,

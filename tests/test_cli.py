@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -515,18 +517,29 @@ def _invocations(draw, tmp):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_every_invocation_keeps_the_exit_code_contract(data):
-    """Exit 0, 1 or 2 and no traceback; exits 1 and 2 print exactly one error: line."""
+    """Exit 0, 1 or 2 and no traceback; exits 1 and 2 print exactly one error:
+    line; no exit prints a warning, and exit 0 reports only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         args = data.draw(_invocations(Path(tmp)), label="args")
         result = CliRunner().invoke(main, args)
+        rows = []
+        if args[0] == "bench" and result.exit_code == 0:
+            with open(Path(tmp) / "out.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
     assert result.exit_code in (0, 1, 2)
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         repr(result.exception)
     assert "Traceback" not in result.output + result.stderr
+    # outside a test run each warning is printed to stderr
+    assert [str(w.message) for w in caught] == []
     if result.exit_code:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
-        # outside a test run each warning is printed to stderr, ahead of the error line
-        assert [str(w.message) for w in caught] == []
+    else:
+        # slope=nan is the documented tag of a failed fit, so slope_tag is not read
+        reported = [line.split(":", 1)[1] for line in result.stdout.splitlines()
+                    if line.startswith(("estimate:", "stderr:", "fidelity"))]
+        reported += [row[key] for row in rows for key in ("mse", "stderr", "true_value")]
+        assert all(math.isfinite(float(value)) for value in reported), result.stdout

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from math import comb
 from pathlib import Path
@@ -22,8 +24,8 @@ from pqst.ensembles import (EnsembleError, clifford_ensemble,
                             parse_ensemble_spec, pauli_local_ensemble,
                             stabilizer_basis_unitaries, zeta_A, zeta_m_active,
                             zeta_union, zeta_x)
-from pqst.operators import PAULI_1Q, pattern_mask
-from pqst.qcore import HADAMARD, ID2, PHASE_S, dag, kron_all
+from pqst.operators import PAULI_1Q, pattern_mask, pauli_action, pauli_table
+from pqst.qcore import HADAMARD, HS, ID2, PHASE_S, dag, kron_all
 from conftest import member_word
 
 
@@ -118,7 +120,7 @@ def test_clifford_closure_bytes_pinned():
     group = enumerate_clifford_group(2)
     assert (group.shape, group.dtype) == ((11520, 4, 4), np.complex128)
     assert hashlib.sha256(group.tobytes()).hexdigest() == \
-        "d4288daa854098feca55d1ceb2fa1a5a619c5c9ea9a87267fc72f2e476fc90f9"
+        "57a8b7e06e0d392bd7a94063af44ed4d08610560078d12873dcdb66caf90f99d"
 
 
 def test_clifford_closure_peak_memory():
@@ -148,11 +150,11 @@ def test_pauli_action_tables_are_exact(n):
     """Every entry of the action table, for every generator and a sample of
     group elements and every signed Pauli word, is g (+-P) g^dag to 1e-12:
     a dropped sign or a wrong image fails."""
-    paulis, d2 = ensembles._pauli_table(n), 4**n
+    paulis, d2 = pauli_table(n), 4**n
     signed = np.concatenate([paulis, -paulis])
 
     def check(gens):
-        act = ensembles._pauli_action(gens, n)
+        act = pauli_action(gens, n)
         assert act.shape == (len(gens), 2 * d2)
         conj = gens[:, None] @ signed @ gens.conj().transpose(0, 2, 1)[:, None]
         image = np.where(act >= d2, -1, 1)[..., None, None] * paulis[act % d2]
@@ -169,9 +171,72 @@ def test_closure_elements_differ_in_their_pauli_images():
     """Distinct elements of the n=2 closure have distinct signed images of the
     one-bit Pauli words, the code the closure deduplicates on."""
     group = enumerate_clifford_group(2)
-    act = ensembles._pauli_action(group, 2)
+    act = pauli_action(group, 2)
     codes = act[:, 1 << np.arange(4)]
     assert len(np.unique(codes, axis=0)) == len(group)
+
+
+# ---------------------------------------------------------------------------
+# Trusted sets, certified exactly. Each member measures one class of Pauli
+# words: a {1, H, HS} word the words over {I, L} on each site, L the letter
+# its site unitary u sends to +-Z (u L u^dag = +-Z); a Clifford or MUB member
+# the words of its commuting class and 1. The inverse map scales word P by
+# lambda_P (p, p - 2^n on 1, 3^|supp P| when p is None), so a set's estimator
+# is exact on pattern A iff lambda_P count_P = |zeta| for every word P whose
+# X/Y support is A, count_P being the number of members whose class holds P.
+
+def _measured_classes(ens):
+    n = ens.n
+    if ens.name in ("clifford", "mub"):
+        classes = maximal_isotropic_subspaces(n) if ens.name == "clifford" else mub_partition(n)
+        return [(0,) + cls for cls in classes]
+    act = pauli_action(np.stack([ID2, HADAMARD, HS]), 1)
+    letter = {w: next(m for m in (1, 2, 3) if act[i, m] % 4 == 1)
+              for i, w in enumerate(("1", "H", "HS"))}
+    classes = []
+    for member in range(ens.size):
+        codes = [letter[w] << 2 * (n - 1 - q) for q, w in enumerate(member_word(ens, member))]
+        classes.append([sum(c for c, keep in zip(codes, bits) if keep)
+                        for bits in itertools.product((0, 1), repeat=n)])
+    return classes
+
+
+def _certified_trusted(ens):
+    n = ens.n
+    count = Counter(w for cls in _measured_classes(ens) for w in cls)
+    exact = {}
+    for w in range(4**n):
+        if ens.p is None:
+            scale = Fraction(3) ** sum(1 for j in range(n) if w >> 2 * j & 3)
+        else:
+            scale = Fraction(ens.p) - (2**n if w == 0 else 0)
+        pattern = sum((w >> 2 * j + 1 & 1) << j for j in range(n))
+        exact[pattern] = exact.get(pattern, True) and scale * count[w] == ens.size
+    return frozenset(pattern for pattern, ok in exact.items() if ok)
+
+
+def _every_declared_set():
+    """Every zeta_A, every union of two or more equal-size subsets and every
+    m-active set, with Pauli and Clifford, at n = 1..4, and MUB at n <= 3."""
+    for n in (1, 2, 3, 4):
+        for r in range(1, n + 1):
+            same = list(itertools.combinations(range(1, n + 1), r))
+            yield from (zeta_A(n, a) for a in same)
+            for k in range(2, len(same) + 1):
+                yield from (zeta_union(n, subsets) for subsets in itertools.combinations(same, k))
+        yield from (zeta_m_active(n, m) for m in range(1, n + 1))
+        yield pauli_local_ensemble(n)
+        yield clifford_ensemble(n)
+        if n <= 3:
+            yield mub_ensemble(n)
+
+
+def test_every_declared_trusted_set_is_certified_exactly():
+    checked = 0
+    for ens in _every_declared_set():
+        assert _certified_trusted(ens) == ens.trusted, (ens.name, ens.n)
+        checked += 1
+    assert checked == 135
 
 
 def test_isotropic_subspace_counts():
@@ -409,7 +474,7 @@ def _class_basis_oracle(cls, n):
     the bases were batched: the rank-1 projectors prod_j (1 +- P_j)/2 of the
     greedy independent words in sorted order, the column at the largest
     diagonal entry, rows in ascending eigenvalue of sum_i 3^i P_i."""
-    paulis = ensembles._pauli_table(n)
+    paulis = pauli_table(n)
     masks = list(cls)
     half = np.eye(2**n) / 2
     proj = np.eye(2**n, dtype=complex)[None]
