@@ -154,14 +154,14 @@ def pauli_table(n: int) -> np.ndarray:
 def pauli_action(gens: np.ndarray, n: int) -> np.ndarray:
     """Each Clifford's action on signed Pauli codes s 4^n + m, (-1)^s the sign
     and m the pauli_table mask: entry [g, s 4^n + m] codes g (-1)^s P_m g^dag.
-    Codes are below 2 4^n, so their uint8 fits n <= 3."""
+    Codes are below 2 4^n, held as uint8 for n <= 3 and uint16 at n = 4."""
     paulis = pauli_table(n)
     images = gens[:, None] @ paulis @ gens.conj().transpose(0, 2, 1)[:, None]
     overlap = np.einsum("bji,gaij->gab", paulis, images).real / 2**n
     mask = np.abs(overlap).argmax(axis=2)
     sign = np.take_along_axis(overlap, mask[..., None], axis=2)[..., 0] < 0
     assert np.abs(images - np.where(sign, -1, 1)[..., None, None] * paulis[mask]).max() < 1e-12
-    act = (mask + 4**n * sign).astype(np.uint8)
+    act = (mask + 4**n * sign).astype(np.min_scalar_type(2 * 4**n - 1))
     return np.concatenate([act, act ^ 4**n], axis=1)
 
 

@@ -57,39 +57,51 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: cyclic Jacobi with complex rotations.
+# Hermitian eigensolver: cyclic Jacobi with complex rotations, in the parallel
+# (round-robin) order of Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 69 (1985).
+
+def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep: rounds of disjoint pairs, as index arrays p < q, that hold
+    every pair of range(d) once (circle method; odd d idles one index a round)."""
+    m = d + d % 2
+    ring, rounds = list(range(m)), []
+    for _ in range(m - 1):
+        pairs = [(i, j) for i, j in map(sorted, zip(ring[:m // 2], ring[::-1])) if j < d]
+        rounds.append(tuple(np.array(pairs, dtype=int).reshape(-1, 2).T))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return rounds
+
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps, each
+    round's disjoint rotations applied at once as one unitary u: a <- u^dag a u.
 
     Returns (eigenvalues ascending, eigenvector columns). Converges when the
     off-diagonal Frobenius norm drops below tol * max(1, ||a||_F).
     """
     a = np.array(a, dtype=complex)
     d = a.shape[0]
+    _check_finite(a, "jacobi_eigh input")
     if np.abs(a - dag(a)).max() > 1e-8 * max(1.0, np.abs(a).max()):
         raise QcoreError("jacobi_eigh requires a Hermitian matrix")
     a = (a + dag(a)) / 2
     v = np.eye(d, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(a)))
+    rounds = _round_robin(d)
     for _ in range(max_sweeps):
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= tol * scale:
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                b = a[p, q]
-                if abs(b) < 1e-300:
-                    continue
-                phi = math.atan2(b.imag, b.real)
-                theta = 0.5 * math.atan2(2 * abs(b), a[p, p].real - a[q, q].real)
-                c, s = math.cos(theta), math.sin(theta)
-                e = complex(math.cos(phi), -math.sin(phi))
-                # 2x2 unitary [[c, -s], [s e^{-i phi}, c e^{-i phi}]] zeroing a[p,q]
-                u2 = np.array([[c, -s], [s * e, c * e]])
-                a[:, [p, q]] = a[:, [p, q]] @ u2
-                a[[p, q], :] = dag(u2) @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ u2
+        for p, q in rounds:
+            b, diag = a[p, q], a.diagonal().real
+            keep = np.abs(b) >= 1e-300  # a smaller |a[p,q]| keeps the identity
+            theta = 0.5 * np.arctan2(2 * np.abs(b), diag[p] - diag[q]) * keep
+            c, s, e = np.cos(theta), np.sin(theta), np.exp(-1j * np.angle(b) * keep)
+            # per pair [[c, -s], [s e^{-i phi}, c e^{-i phi}]], phi = arg a[p,q], zeroes a[p,q]
+            u = np.eye(d, dtype=complex)
+            u[p, p], u[p, q], u[q, p], u[q, q] = c, -s, s * e, c * e
+            a = dag(u) @ a @ u
+            v = v @ u
     w = np.diag(a).real
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
@@ -176,6 +188,7 @@ def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
     sig = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     if sig.shape != rho.mat.shape:
         raise QcoreError("fidelity arguments have mismatched dimensions")
+    _check_finite(sig, "fidelity second argument")
     if np.abs(sig - dag(sig)).max() > 1e-8:
         raise QcoreError("fidelity second argument is not Hermitian")
     w, v = rho.decomposition

@@ -102,8 +102,9 @@ def test_reconstruct_report_file(tmp_path):
 
 
 @pytest.mark.parametrize("mode,fidelity,warned", [
-    (["--exact"], "1.0000000105", False),  # eigensolver noise stays below the flag
-    (["--shots", "100000", "--seed", "11"], "1.0009402818", True),
+    # eigensolver noise stays below the flag
+    pytest.param(["--exact"], "1.0000000156", False, id="exact"),
+    pytest.param(["--shots", "100000", "--seed", "11"], "1.0009402784", True, id="sampled"),
 ])
 def test_reconstruct_warns_on_stderr_of_a_fidelity_above_one(mode, fidelity, warned):
     result = CliRunner().invoke(main, ["reconstruct", "--state", "table2-i", "--sets",

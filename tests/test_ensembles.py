@@ -139,17 +139,30 @@ def test_clifford_closure_peak_memory():
 
 
 def _closure_generators(n):
-    """The closure's generators: H and S on each qubit, and CNOT at n = 2."""
+    """H and S on each qubit and CNOT on each neighbouring pair, control the
+    more significant qubit: at n <= 2 the closure's generators."""
     site = lambda gate, q: kron_all(*(gate if i == q else ID2 for i in range(n)))
     gens = [site(g, q) for g in (HADAMARD, PHASE_S) for q in range(n)]
-    return np.stack(gens + [np.eye(4)[[0, 1, 3, 2]]] * (n == 2))
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    return np.stack(gens + [kron_all(*[ID2] * q, cnot, *[ID2] * (n - q - 2))
+                            for q in range(n - 1)])
 
 
-@pytest.mark.parametrize("n", [1, 2])
+def _clifford_sample(n):
+    """Every 97th element of the closure at n <= 2; beyond it, products of
+    eight random generators."""
+    if n <= 2:
+        return enumerate_clifford_group(n)[::97]
+    gens, rng = _closure_generators(n), np.random.default_rng(n)
+    return np.stack([reduce(np.matmul, gens[rng.integers(len(gens), size=8)])
+                     for _ in range(4)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pauli_action_tables_are_exact(n):
     """Every entry of the action table, for every generator and a sample of
     group elements and every signed Pauli word, is g (+-P) g^dag to 1e-12:
-    a dropped sign or a wrong image fails."""
+    a dropped sign or a wrong image fails. At n = 4 the codes outgrow uint8."""
     paulis, d2 = pauli_table(n), 4**n
     signed = np.concatenate([paulis, -paulis])
 
@@ -164,7 +177,7 @@ def test_pauli_action_tables_are_exact(n):
         assert (act[:, d2:] == act[:, :d2] ^ d2).all()
 
     check(_closure_generators(n))
-    check(enumerate_clifford_group(n)[::97])
+    check(_clifford_sample(n))
 
 
 def test_closure_elements_differ_in_their_pauli_images():

@@ -40,6 +40,51 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf)])
+def test_non_finite_input_is_rejected_by_the_solver_and_the_fidelity(bad):
+    sigma = np.eye(4, dtype=complex) / 4
+    sigma[0, 0] = bad
+    with pytest.raises(QcoreError, match="jacobi_eigh input contains non-finite"):
+        jacobi_eigh(sigma)
+    with pytest.raises(QcoreError, match="fidelity second argument contains non-finite"):
+        fidelity_with_clip(DensityMatrix(np.eye(4) / 4), sigma)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+def test_round_robin_rounds_are_disjoint_and_cover_each_pair_once(d):
+    rounds = qcore._round_robin(d)
+    assert len(rounds) == d - 1 + d % 2
+    swept = []
+    for p, q in rounds:
+        assert len(p) == d // 2 and (p < q).all()
+        assert len(set(p) | set(q)) == 2 * len(p)
+        swept += zip(p.tolist(), q.tolist())
+    assert sorted(swept) == list(itertools.combinations(range(d), 2))
+
+
+def _structured_hermitians(d, rng):
+    """Inputs with degenerate spectra or exactly zero couplings."""
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    block = np.zeros((d, d), dtype=complex)
+    h = d // 2
+    block[:h, :h], block[h:, h:] = random_hermitian(h, rng) / d, random_hermitian(h, rng) / d
+    return {"maximally mixed": np.eye(d) / d, "pure": np.outer(psi, psi.conj()),
+            "unsorted diagonal": np.diag(rng.permutation(d) % 3 - 0.5),
+            "block diagonal": block}
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_jacobi_on_degenerate_and_structured_inputs(d, rng):
+    for name, a in _structured_hermitians(d, rng).items():
+        w, v = jacobi_eigh(a)
+        assert np.all(np.diff(w) >= 0), name
+        assert np.abs(v @ np.diag(w) @ dag(v) - a).max() < 1e-12, name
+        assert np.abs(dag(v) @ v - np.eye(d)).max() < 1e-12, name
+        assert np.abs(w - np.linalg.eigvalsh(a)).max() < 1e-12, name
+
+
 def test_density_matrix_keeps_its_decomposition(rng):
     for n in range(1, 5):
         d = 2**n
