@@ -154,12 +154,22 @@ def pauli_table(n: int) -> np.ndarray:
 def pauli_action(gens: np.ndarray, n: int) -> np.ndarray:
     """Each Clifford's action on signed Pauli codes s 4^n + m, (-1)^s the sign
     and m the pauli_table mask: entry [g, s 4^n + m] codes g (-1)^s P_m g^dag.
-    Codes are below 2 4^n, held as uint8 for n <= 3 and uint16 at n = 4."""
+    Codes are below 2 4^n, held as uint8 for n <= 3 and uint16 at n = 4.
+
+    Each image is read as a signed monomial: since X^x Z^z |j> = (-1)^{z.j}
+    |j ^ x>, x is the row of column 0's nonzero entry, each z bit is the sign
+    of M[x ^ j, j] / M[x, 0] at the one-bit j, and the sign is M[x, 0] / i^{x.z}."""
     paulis = pauli_table(n)
     images = gens[:, None] @ paulis @ gens.conj().transpose(0, 2, 1)[:, None]
-    overlap = np.einsum("bji,gaij->gab", paulis, images).real / 2**n
-    mask = np.abs(overlap).argmax(axis=2)
-    sign = np.take_along_axis(overlap, mask[..., None], axis=2)[..., 0] < 0
+    g, a = np.ogrid[:len(gens), :4**n]
+    x = np.abs(images[..., 0]).argmax(axis=2)
+    lead = images[g, a, x, 0]
+    k = np.arange(n)  # basis bit k is qubit n - k, with mask bits 2k + 1 (x) and 2k (z)
+    x_bits = x[..., None] >> k & 1
+    flips = images[g[..., None], a[..., None], x[..., None] ^ 1 << k, 1 << k]
+    z_bits = ((flips * lead.conj()[..., None]).real < 0).astype(int)
+    mask = (x_bits << 2 * k + 1 | z_bits << 2 * k).sum(axis=2)
+    sign = (lead * np.array([1, -1j, -1, 1j])[(x_bits & z_bits).sum(axis=2) % 4]).real < 0
     assert np.abs(images - np.where(sign, -1, 1)[..., None, None] * paulis[mask]).max() < 1e-12
     act = (mask + 4**n * sign).astype(np.min_scalar_type(2 * 4**n - 1))
     return np.concatenate([act, act ^ 4**n], axis=1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,24 +60,30 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
 # Hermitian eigensolver: cyclic Jacobi with complex rotations, in the parallel
 # (round-robin) order of Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 69 (1985).
 
-def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sweep: rounds of disjoint pairs, as index arrays p < q, that hold
-    every pair of range(d) once (circle method; odd d idles one index a round)."""
+@cache
+def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One sweep: rounds of disjoint pairs, as read-only index arrays p < q,
+    that hold every pair of range(d) once (circle method; odd d idles one
+    index a round). Built once per d."""
     m = d + d % 2
     ring, rounds = list(range(m)), []
     for _ in range(m - 1):
         pairs = [(i, j) for i, j in map(sorted, zip(ring[:m // 2], ring[::-1])) if j < d]
-        rounds.append(tuple(np.array(pairs, dtype=int).reshape(-1, 2).T))
+        p, q = np.array(pairs, dtype=int).reshape(-1, 2).T.copy()
+        p.flags.writeable = q.flags.writeable = False
+        rounds.append((p, q))
         ring = [ring[0], ring[-1], *ring[1:-1]]
-    return rounds
+    return tuple(rounds)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60, vectors: bool = True):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps, each
     round's disjoint rotations applied at once as one unitary u: a <- u^dag a u.
 
-    Returns (eigenvalues ascending, eigenvector columns). Converges when the
-    off-diagonal Frobenius norm drops below tol * max(1, ||a||_F).
+    Returns (eigenvalues ascending, eigenvector columns), or (eigenvalues, None)
+    with vectors=False, which skips accumulating them; the eigenvalues are the
+    same bits either way. Converges when the off-diagonal Frobenius norm drops
+    below tol * max(1, ||a||_F).
     """
     a = np.array(a, dtype=complex)
     d = a.shape[0]
@@ -85,26 +91,33 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     if np.abs(a - dag(a)).max() > 1e-8 * max(1.0, np.abs(a).max()):
         raise QcoreError("jacobi_eigh requires a Hermitian matrix")
     a = (a + dag(a)) / 2
-    v = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    v = eye if vectors else None
     scale = max(1.0, float(np.linalg.norm(a)))
-    rounds = _round_robin(d)
+    # each round's pairs with the flat offsets of a[p, q] and of u's four entries per pair
+    rounds = [(p, q, p * d + q, np.concatenate([p * (d + 1), p * d + q, q * d + p, q * (d + 1)]))
+              for p, q in _round_robin(d)]
     for _ in range(max_sweeps):
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= tol * scale:
             break
-        for p, q in rounds:
-            b, diag = a[p, q], a.diagonal().real
-            keep = np.abs(b) >= 1e-300  # a smaller |a[p,q]| keeps the identity
-            theta = 0.5 * np.arctan2(2 * np.abs(b), diag[p] - diag[q]) * keep
-            c, s, e = np.cos(theta), np.sin(theta), np.exp(-1j * np.angle(b) * keep)
+        for p, q, pq, entries in rounds:
+            b, diag = a.take(pq), a.diagonal().real
+            mag = np.abs(b)
+            keep = mag >= 1e-300  # a smaller |a[p,q]| keeps the identity
+            theta = np.arctan2(mag + mag, diag[p] - diag[q])
+            theta *= 0.5 * keep
+            c, s = np.cos(theta), np.sin(theta)
+            e = np.divide(b.conj(), mag, out=np.ones_like(b), where=keep)  # e^{-i phi}
             # per pair [[c, -s], [s e^{-i phi}, c e^{-i phi}]], phi = arg a[p,q], zeroes a[p,q]
-            u = np.eye(d, dtype=complex)
-            u[p, p], u[p, q], u[q, p], u[q, q] = c, -s, s * e, c * e
+            u = eye.copy()
+            u.put(entries, np.concatenate((c, -s, s * e, c * e)))
             a = dag(u) @ a @ u
-            v = v @ u
+            if vectors:
+                v = v @ u
     w = np.diag(a).real
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], (v[:, order] if vectors else None)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +190,15 @@ def born_table(members: np.ndarray, x) -> np.ndarray:
 def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 plus clipped mass.
 
-    sqrt(rho) comes from rho's decomposition (solved on first read), so the
-    other solve is of sqrt(rho) sigma sqrt(rho). Nothing is trace-normalised:
+    Solved in rho's eigenbasis (rho = V diag(w) V^dag, from its decomposition,
+    solved on first read): sqrt(rho) sigma sqrt(rho) = V B V^dag with
+    B = diag(r) V^dag sigma V diag(r), r = sqrt(clip(w, 0)), so B has its
+    spectrum and only B's eigenvalues are solved. Nothing is trace-normalised:
     F(rho, rho) = (Tr rho)^2, e.g. 1.0002000100 for the relaxed rho3 of trace
     1.0001. sigma may be any Hermitian matrix (finite-shot estimators can be
-    non-physical); negative eigenvalues of sqrt(rho) sigma sqrt(rho) are
-    clamped to zero and their total magnitude is returned alongside. That mass
-    misses any negative mass of sigma outside rho's support.
+    non-physical); negative eigenvalues of B are clamped to zero and their
+    total magnitude is returned alongside. That mass misses any negative mass
+    of sigma outside rho's support.
     """
     sig = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     if sig.shape != rho.mat.shape:
@@ -192,8 +207,8 @@ def fidelity_with_clip(rho: DensityMatrix, sigma) -> tuple[float, float]:
     if np.abs(sig - dag(sig)).max() > 1e-8:
         raise QcoreError("fidelity second argument is not Hermitian")
     w, v = rho.decomposition
-    sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dag(v)
-    w = jacobi_eigh(sqrt_rho @ sig @ sqrt_rho)[0]
+    r = np.sqrt(np.clip(w, 0.0, None))
+    w = jacobi_eigh(r[:, None] * (dag(v) @ sig @ v) * r, vectors=False)[0]
     clipped = float(-w[w < 0].sum()) if np.any(w < 0) else 0.0
     f = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
     return f, clipped

@@ -113,7 +113,7 @@ def estimate_observable(obs: Observable, pses) -> float:
     return value
 
 
-FIDELITY_SLACK = 1e-6  # above the eigensolver's noise: exact full covers of pure fixtures <= 2.2e-8
+FIDELITY_SLACK = 1e-6  # far above the solver noise: exact full covers of pure fixtures <= 1.1e-15
 
 
 def reconstruction_report(estimate: np.ndarray, pses, shots_per_set, seed,

@@ -1,8 +1,10 @@
 """The eigen seam: `qcore.jacobi_eigh` is reached only from the two places
-that decompose a matrix, the cached `DensityMatrix.decomposition` (the state,
-once, on first read) and `fidelity_with_clip` (sqrt(rho) sigma sqrt(rho)), and
-no module in src/pqst calls a numpy eigensolver. A third decomposition site
-fails here, so swapping the solver stays a change to one function body."""
+that solve a matrix, the cached `DensityMatrix.decomposition` (the state's
+eigenvalues and eigenvectors, once, on first read) and `fidelity_with_clip`
+(the eigenvalues only of B = diag(sqrt w) V^dag sigma V diag(sqrt w), which has
+the spectrum of sqrt(rho) sigma sqrt(rho)), and no module in src/pqst calls a
+numpy eigensolver. A third solve site fails here, so swapping the solver stays
+a change to one function body."""
 
 import ast
 from pathlib import Path

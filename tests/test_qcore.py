@@ -4,6 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqst import qcore
 from pqst.qcore import (DensityMatrix, HADAMARD, HS, ID2, PHASE_S, QcoreError,
@@ -69,7 +70,7 @@ def _structured_hermitians(d, rng):
     psi /= np.linalg.norm(psi)
     block = np.zeros((d, d), dtype=complex)
     h = d // 2
-    block[:h, :h], block[h:, h:] = random_hermitian(h, rng) / d, random_hermitian(h, rng) / d
+    block[:h, :h], block[h:, h:] = random_hermitian(h, rng) / d, random_hermitian(d - h, rng) / d
     return {"maximally mixed": np.eye(d) / d, "pure": np.outer(psi, psi.conj()),
             "unsorted diagonal": np.diag(rng.permutation(d) % 3 - 0.5),
             "block diagonal": block}
@@ -83,6 +84,43 @@ def test_jacobi_on_degenerate_and_structured_inputs(d, rng):
         assert np.abs(v @ np.diag(w) @ dag(v) - a).max() < 1e-12, name
         assert np.abs(dag(v) @ v - np.eye(d)).max() < 1e-12, name
         assert np.abs(w - np.linalg.eigvalsh(a)).max() < 1e-12, name
+
+
+def test_round_robin_is_built_once_per_dimension_and_read_only():
+    rounds = qcore._round_robin(8)
+    assert qcore._round_robin(8) is rounds
+    assert isinstance(rounds, tuple)
+    for p, q in rounds:
+        for index in (p, q):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 0
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_eigenvalues_without_vectors_are_the_same_bits(d, rng):
+    inputs = [random_hermitian(d, rng) for _ in range(3)]
+    for a in inputs + list(_structured_hermitians(d, rng).values()):
+        w, v = jacobi_eigh(a, vectors=False)
+        assert v is None
+        assert w.tobytes() == jacobi_eigh(a)[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), mix=st.floats(0, 1))
+def test_fidelity_matches_eigvalsh_of_sqrt_rho_sigma_sqrt_rho(n, seed, mix):
+    """F and the clipped mass, solved in rho's eigenbasis, against numpy's
+    eigenvalues of sqrt(rho) sigma sqrt(rho) for a full-rank rho and a
+    Hermitian sigma mixing a state with a trace-less, indefinite part."""
+    d, rng = 2**n, np.random.default_rng(seed)
+    rho, state = random_density_matrix(n, rng), random_density_matrix(n, rng)
+    h = random_hermitian(d, rng)
+    sigma = mix * state.mat + (1 - mix) * (h - np.trace(h) / d) / d
+    w, v = np.linalg.eigh(rho.mat)
+    root = v @ np.diag(np.sqrt(w)) @ dag(v)
+    lam = np.linalg.eigvalsh(root @ sigma @ root)
+    f, clipped = fidelity_with_clip(rho, sigma)
+    assert f == pytest.approx(np.sqrt(np.clip(lam, 0, None)).sum() ** 2, abs=1e-12)
+    assert clipped == pytest.approx(-lam[lam < 0].sum(), abs=1e-12)
 
 
 def test_density_matrix_keeps_its_decomposition(rng):
@@ -244,8 +282,9 @@ def test_purity_and_fidelity_pure_states():
     psi = np.array([1, 0, 0, 1]) / math.sqrt(2)
     bell = DensityMatrix.from_statevector(psi)
     assert np.trace(bell.mat @ bell.mat).real == pytest.approx(1.0)
-    # pure states put near-zero eigenvalues under a square root, so the
-    # attainable fidelity precision is ~1e-7, biased upward
+    # a pure rho puts near-zero eigenvalues under a square root; solved in
+    # rho's eigenbasis they only scale B's rows and columns, so this reads
+    # 1.0 and the bound is loose
     assert fidelity(bell, bell) == pytest.approx(1.0, abs=2e-7)
     other = DensityMatrix.from_statevector(np.array([0, 1, 0, 0], dtype=complex))
     assert fidelity(bell, other) == pytest.approx(0.0, abs=2e-7)

@@ -247,3 +247,15 @@ def test_report_flags_a_fidelity_above_one_and_records_residuals():
     assert sampled["fidelity_vs_reference"] > 1 + 1e-6
     assert sampled["fidelity_above_one"]
     assert sampled["state_residuals"] == state.validation_residuals
+
+
+@pytest.mark.parametrize("cover", ["zeta-X,zeta-A:1|zeta-A:2", "zeta-X,zeta-A:1,zeta-A:2",
+                                   "zeta-X,zeta-m:1", "mub", "clifford", "pauli"])
+@pytest.mark.parametrize("name", ["table2-i", "table2-ii", "table2-v"])
+def test_exact_full_covers_of_pure_fixtures_read_fidelity_one(name, cover):
+    """The exact estimate of a pure state is the state, so its fidelity is 1
+    up to rounding, far below the flag's slack."""
+    state = load_fixture(name).state
+    report = reconstruct_state(state, parse_ensemble_list(cover, state.n))
+    assert abs(report["fidelity_vs_reference"] - 1) <= 1e-12
+    assert report["fidelity_above_one"] is False
